@@ -81,9 +81,16 @@ bench-stepping-json:
 experiments:
 	go run ./cmd/bench -experiment all -scale 13 -ranks 1,2,4,8 -threads 2 -roots 3
 
+# Every native fuzz target, 30s each: the edge-list reader, CSR
+# construction, incremental patching, and the untrusted wire inputs (update
+# batches, relax and request batches).
 fuzz:
 	go test -fuzz FuzzReadEdgeList -fuzztime 30s ./internal/graph/
 	go test -fuzz FuzzBuilderInvariants -fuzztime 30s ./internal/graph/
+	go test -fuzz FuzzPatchedMatchesRebuild -fuzztime 30s ./internal/graph/
+	go test -fuzz FuzzDecodeUpdateBatch -fuzztime 30s ./internal/sssp/
+	go test -fuzz FuzzRelaxReader -fuzztime 30s ./internal/sssp/
+	go test -fuzz FuzzRequestReader -fuzztime 30s ./internal/sssp/
 
 clean:
 	go clean ./...

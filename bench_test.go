@@ -456,18 +456,17 @@ func BenchmarkAblation_ParallelApply(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { benchRun(b, g, par) })
 }
 
-// --- Communication layer (wire format + buffer pooling) --------------------
+// --- Communication layer (wire codec + buffer pooling) ---------------------
 
-// benchCommWire measures the steady-state cost of repeated queries on a
-// warm Machine: the phase loop and the exchange path run entirely out of
-// pooled buffers, so allocs/op is the pooling regression metric and the
-// wire-byte metrics quantify the codec. make bench-json exports these as
+// BenchmarkCommWire measures the steady-state cost of repeated queries on
+// a warm Machine: the phase loop and the exchange path run entirely out
+// of pooled buffers, so allocs/op is the pooling regression metric and
+// the wire-byte metrics quantify the codec. make bench-json exports it as
 // BENCH_comm.json.
-func benchCommWire(b *testing.B, wf sssp.WireFormat) {
+func BenchmarkCommWire(b *testing.B) {
 	g := rmatGraph(b, expt.RMAT1, benchScale)
 	opts := sssp.OptOptions(25)
 	opts.Threads = 2
-	opts.WireFormat = wf
 	m, err := sssp.NewMachine(g, benchRanks, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -501,10 +500,6 @@ func benchCommWire(b *testing.B, wf sssp.WireFormat) {
 		}
 	}
 }
-
-func BenchmarkCommWireV1(b *testing.B) { benchCommWire(b, sssp.WireV1) }
-
-func BenchmarkCommWireV2(b *testing.B) { benchCommWire(b, sssp.WireV2) }
 
 // --- Query serving (concurrent pools) --------------------------------------
 

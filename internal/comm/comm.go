@@ -189,10 +189,12 @@ func SupportsBatch(t Transport) bool {
 // segments instead of one contiguous buffer. out[i] is the segment list
 // for rank i; the logical payload is the segments' concatenation, and
 // in[i] is delivered contiguous exactly as with Exchange. Transports that
-// implement it consume per-thread staging buffers directly, eliminating
-// the sender-side concatenation copy. Segment slices are owned by the
-// caller again as soon as the call returns; the same collective-ordering
-// discipline as Exchange applies.
+// implement it consume a caller's segments directly, with no sender-side
+// concatenation copy. Segment slices are owned by the caller again as
+// soon as the call returns; the same collective-ordering discipline as
+// Exchange applies. memtransport and tcptransport implement it; the
+// engine encodes one contiguous batch per destination and does not call
+// it.
 type GatherExchanger interface {
 	ExchangeV(out [][][]byte) (in [][]byte, err error)
 }
@@ -227,18 +229,9 @@ type TrafficStats struct {
 // Counting wraps a Transport and accumulates TrafficStats. It is not safe
 // for concurrent use by multiple goroutines, matching the underlying
 // collectives' calling discipline (one caller per rank).
-//
-// Counting always offers ExchangeV: when the wrapped transport is a
-// GatherExchanger the segments pass straight through; otherwise they are
-// concatenated into buffers pooled on the wrapper and sent with plain
-// Exchange, so callers can stage per-thread segments unconditionally.
 type Counting struct {
 	T     Transport
 	Stats TrafficStats
-
-	// merged holds the pooled concatenation buffers of the ExchangeV
-	// fallback; reused across calls.
-	merged [][]byte
 }
 
 // NewCounting returns a counting wrapper around t.
@@ -262,52 +255,6 @@ func (c *Counting) Exchange(out [][]byte) ([][]byte, error) {
 		c.Stats.MessagesSent++
 	}
 	in, err := c.T.Exchange(out)
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range in {
-		if i == me {
-			continue
-		}
-		c.Stats.BytesReceived += int64(len(b))
-	}
-	return in, nil
-}
-
-// ExchangeV implements GatherExchanger, counting payload traffic. The
-// wrapped transport's own ExchangeV is used when available; otherwise the
-// segments are concatenated into pooled buffers and sent with Exchange.
-func (c *Counting) ExchangeV(out [][][]byte) ([][]byte, error) {
-	c.Stats.ExchangeCalls++
-	me := c.T.Rank()
-	for i, segs := range out {
-		total := 0
-		for _, s := range segs {
-			total += len(s)
-		}
-		if i == me || total == 0 {
-			continue
-		}
-		c.Stats.BytesSent += int64(total)
-		c.Stats.MessagesSent++
-	}
-	var in [][]byte
-	var err error
-	if ge, ok := c.T.(GatherExchanger); ok {
-		in, err = ge.ExchangeV(out)
-	} else {
-		if len(c.merged) != len(out) {
-			c.merged = make([][]byte, len(out))
-		}
-		for i, segs := range out {
-			buf := c.merged[i][:0]
-			for _, s := range segs {
-				buf = append(buf, s...)
-			}
-			c.merged[i] = buf
-		}
-		in, err = c.T.Exchange(c.merged)
-	}
 	if err != nil {
 		return nil, err
 	}

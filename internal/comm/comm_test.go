@@ -94,77 +94,3 @@ func TestCountingCollectives(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// fakeGatherTransport adds ExchangeV so the Counting wrapper's
-// passthrough path can be observed.
-type fakeGatherTransport struct {
-	fakeTransport
-	lastSegs [][][]byte
-}
-
-func (f *fakeGatherTransport) ExchangeV(out [][][]byte) ([][]byte, error) {
-	f.lastSegs = out
-	return f.inject, nil
-}
-
-func TestCountingExchangeVFallback(t *testing.T) {
-	// The wrapped transport has no ExchangeV: the wrapper must
-	// concatenate the segments into pooled buffers and use Exchange,
-	// counting traffic on the segment totals.
-	fake := &fakeTransport{rank: 0, size: 2,
-		inject: [][]byte{nil, make([]byte, 5)}}
-	c := NewCounting(fake)
-	out := [][][]byte{
-		{{1, 2}, nil, {3}},    // self: not traffic
-		{{4}, {5, 6, 7}, nil}, // peer: 4 bytes
-	}
-	in, err := c.ExchangeV(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []byte{1, 2, 3}; !reflect.DeepEqual(fake.lastOut[0], want) {
-		t.Errorf("merged self row = %v, want %v", fake.lastOut[0], want)
-	}
-	if want := []byte{4, 5, 6, 7}; !reflect.DeepEqual(fake.lastOut[1], want) {
-		t.Errorf("merged peer row = %v, want %v", fake.lastOut[1], want)
-	}
-	if c.Stats.BytesSent != 4 || c.Stats.MessagesSent != 1 {
-		t.Errorf("sent counters = %d bytes / %d messages, want 4 / 1",
-			c.Stats.BytesSent, c.Stats.MessagesSent)
-	}
-	if c.Stats.BytesReceived != 5 || c.Stats.ExchangeCalls != 1 {
-		t.Errorf("recv counters = %d bytes / %d calls, want 5 / 1",
-			c.Stats.BytesReceived, c.Stats.ExchangeCalls)
-	}
-	if len(in) != 2 {
-		t.Errorf("delivered %d rows, want 2", len(in))
-	}
-	// The merge buffers are pooled: a second call must reuse them.
-	first := &c.merged[0][:1][0]
-	if _, err := c.ExchangeV(out); err != nil {
-		t.Fatal(err)
-	}
-	if &c.merged[0][:1][0] != first {
-		t.Error("fallback merge buffer reallocated on second call")
-	}
-}
-
-func TestCountingExchangeVPassthrough(t *testing.T) {
-	fake := &fakeGatherTransport{fakeTransport: fakeTransport{rank: 1, size: 2,
-		inject: [][]byte{make([]byte, 9), nil}}}
-	c := NewCounting(fake)
-	out := [][][]byte{{{1, 2, 3}}, {{4, 5}}}
-	if _, err := c.ExchangeV(out); err != nil {
-		t.Fatal(err)
-	}
-	if fake.lastOut != nil {
-		t.Error("fallback Exchange used despite GatherExchanger support")
-	}
-	if len(fake.lastSegs) != 2 || &fake.lastSegs[0][0][0] != &out[0][0][0] {
-		t.Error("segments not passed through unmodified")
-	}
-	if c.Stats.BytesSent != 3 || c.Stats.BytesReceived != 9 {
-		t.Errorf("counters = %d sent / %d received, want 3 / 9",
-			c.Stats.BytesSent, c.Stats.BytesReceived)
-	}
-}

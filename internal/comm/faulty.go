@@ -73,8 +73,8 @@ func (k FaultKind) String() string {
 // Fault schedules one injection.
 type Fault struct {
 	// Collective is the 0-based index, counted across Exchange,
-	// ExchangeV, AllreduceInt64 and Barrier calls on this endpoint, at
-	// which the fault fires.
+	// AllreduceInt64 and Barrier calls on this endpoint, at which the
+	// fault fires.
 	Collective int
 	// Kind is the failure mode.
 	Kind FaultKind
@@ -85,8 +85,7 @@ type Fault struct {
 // Faulty wraps a Transport and injects the scheduled faults. It is
 // deterministic: the same schedule against the same collective sequence
 // fires the same faults, so a chaos test that passes once passes always.
-// Faulty implements GatherExchanger regardless of the wrapped transport
-// and, like the transports themselves, is not safe for concurrent use.
+// Like the transports themselves, it is not safe for concurrent use.
 type Faulty struct {
 	T      Transport
 	faults map[int]Fault
@@ -94,7 +93,6 @@ type Faulty struct {
 	// mangle scratch: damaged payloads are copied here, never mutated in
 	// place — callers own their out buffers.
 	scratch [][]byte
-	merged  [][]byte // ExchangeV fallback concatenation buffers
 }
 
 // NewFaulty wraps t with a fault schedule. Duplicate collective indices
@@ -208,48 +206,6 @@ func (f *Faulty) Exchange(out [][]byte) ([][]byte, error) {
 		}
 	}
 	return f.T.Exchange(out)
-}
-
-// ExchangeV implements GatherExchanger. A faulted ExchangeV flattens the
-// segment lists so the damage applies to the logical payload; the clean
-// path passes segments through to the wrapped transport's gathered
-// exchange when it has one.
-func (f *Faulty) ExchangeV(out [][][]byte) ([][]byte, error) {
-	if flt, ok := f.step(); ok {
-		switch flt.Kind {
-		case FaultError:
-			return nil, f.errAt(flt)
-		case FaultCrash:
-			return nil, errors.Join(f.errAt(flt), f.T.Close())
-		case FaultStall:
-			time.Sleep(flt.Stall)
-		case FaultTruncate, FaultCorrupt:
-			flat := f.flatten(out)
-			flat = f.mangleOut(flat, flt.Kind)
-			// step was already consumed; send the damaged buffers plainly.
-			return f.T.Exchange(flat)
-		}
-	}
-	if ge, ok := f.T.(GatherExchanger); ok {
-		return ge.ExchangeV(out)
-	}
-	return f.T.Exchange(f.flatten(out))
-}
-
-// flatten concatenates each destination's segments into pooled buffers
-// (the plain-Exchange fallback, as in Counting).
-func (f *Faulty) flatten(out [][][]byte) [][]byte {
-	if len(f.merged) != len(out) {
-		f.merged = make([][]byte, len(out))
-	}
-	for i, segs := range out {
-		buf := f.merged[i][:0]
-		for _, s := range segs {
-			buf = append(buf, s...)
-		}
-		f.merged[i] = buf
-	}
-	return f.merged
 }
 
 // AllreduceInt64 implements Transport. FaultTruncate drops the final

@@ -162,29 +162,6 @@ func TestFaultCorruptDegradesOnAllreduceAndBarrier(t *testing.T) {
 	}
 }
 
-func TestFaultyExchangeVFlattens(t *testing.T) {
-	// fakeTransport is not a GatherExchanger, so ExchangeV must flatten;
-	// a payload fault must damage the flattened logical payload.
-	fake := &fakeTransport{rank: 0, size: 1, inject: make([][]byte, 1)}
-	f, err := NewFaulty(fake, Fault{Collective: 1, Kind: FaultTruncate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs := [][][]byte{{{1, 2}, {3}}}
-	if _, err := f.ExchangeV(segs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fake.lastOut[0], []byte{1, 2, 3}) {
-		t.Errorf("clean ExchangeV sent %v", fake.lastOut[0])
-	}
-	if _, err := f.ExchangeV(segs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fake.lastOut[0], []byte{1, 2}) {
-		t.Errorf("faulted ExchangeV sent %v, want truncated {1 2}", fake.lastOut[0])
-	}
-}
-
 func TestFaultPlanDeterministic(t *testing.T) {
 	const seed, n, span = 42, 4, 50
 	a := FaultPlan(seed, n, span, time.Second)

@@ -9,7 +9,7 @@
 //
 // The mailbox cells hold segment lists rather than single buffers, which
 // makes the gathered collective (comm.GatherExchanger) native: senders
-// deposit their per-thread staging buffers unmerged and receivers
+// deposit their segments unmerged and receivers
 // assemble them during the copy they already pay for, so the gathered
 // path costs no extra copy at all.
 //

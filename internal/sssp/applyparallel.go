@@ -53,9 +53,8 @@ func (r *queryState) applyRelaxParallel(in [][]byte, activate bool, T int) error
 			defer wg.Done()
 			st := &stage[t]
 			k := r.curK
-			wf := r.opts.WireFormat
 			for src, buf := range in {
-				rd := newRelaxReader(buf, wf)
+				rd := newRelaxReader(buf)
 				for {
 					v, tpar, nd, ok := rd.next()
 					if !ok {

@@ -15,14 +15,17 @@ import (
 // Execution model. Each rank repeatedly (1) drains every relax batch its
 // peers have pushed to it (comm.BatchSender point-to-point frames — no
 // collective, no barrier), (2) runs one relax round over the lowest
-// bucket holding pending work, applying self-owned results inline and
-// staging remote ones per destination, and (3) forwards a destination's
-// staged records as soon as a size watermark (Options.AsyncFlushBytes)
-// fills or the oldest staged record exceeds the time watermark
-// (Options.AsyncFlushInterval). The buckets survive as a priority
-// heuristic only — nothing settles a bucket, vertices re-enter lower (or
-// the same) buckets as better distances arrive, and the re-entry
-// discipline is the pending flag documented in bucketstore.go.
+// bucket holding pending work, staging its records typed per thread and
+// destination as a BSP superstep does, and (3) ends the round by applying
+// the self-owned records straight from the staging and sending each other
+// destination its records as one batch, encoded by the same encoder as a
+// BSP exchange. Nothing waits for more records to accumulate: forwarding
+// every round at once measures fastest on latency-dominated fabrics,
+// because improvements propagate at wire speed and peers speculate less
+// on stale distances. The buckets survive as a priority heuristic only —
+// nothing settles a bucket, vertices re-enter lower (or the same) buckets
+// as better distances arrive, and the re-entry discipline is the pending
+// flag documented in bucketstore.go.
 //
 // Short/long deferral. Relaxing a vertex's whole adjacency on every
 // improvement is correct but wasteful: a long edge (w ≥ Δ) relaxed from
@@ -44,18 +47,19 @@ import (
 // collective Allreduce (the "token" of a credit-recovery/Safra detector
 // degenerates to two machine-wide sums because the collective gives a
 // consistent cut for free): a rank enters a probe only when locally idle
-// — no pending short or long work, every staged batch flushed, receive
-// queue drained. The probe sums the per-rank RecordsSent and
-// RecordsReceived counters (comm.TrafficStats, maintained by this engine
-// at flush and apply time). Equal sums terminate. Soundness: a rank
-// inside the collective cannot send or apply anything, so the summed
-// counters describe a consistent cut; any in-flight record is counted by
-// its sender and not yet by its receiver, making the sums unequal, so
-// premature termination is impossible. Liveness: a failed probe releases
-// every rank to drain and work again, and once all work is done and
-// delivered the next probe's sums are equal. An idle rank blocked in a
-// probe is safe — busy peers keep working and join the probe when they
-// go idle.
+// — no pending short or long work, receive queue drained (rounds send
+// everything they stage, so nothing is held back). After one bounded
+// wait for arrivals (asyncIdleWait) the probe sums the per-rank
+// RecordsSent and RecordsReceived counters (comm.TrafficStats,
+// maintained by this engine at send and apply time). Equal sums
+// terminate. Soundness: a rank inside the collective cannot send or
+// apply anything, so the summed counters describe a consistent cut; any
+// in-flight record is counted by its sender and not yet by its receiver,
+// making the sums unequal, so premature termination is impossible.
+// Liveness: a failed probe releases every rank to drain and work again,
+// and once all work is done and delivered the next probe's sums are
+// equal. An idle rank blocked in a probe is safe — busy peers keep
+// working and join the probe when they go idle.
 //
 // Equivalence with BSP. Distances: label correcting converges to the
 // unique shortest distances whatever the arrival order. Parents: every
@@ -72,6 +76,10 @@ import (
 // both modes, exactly as for the incremental repair; see applyRelaxIn
 // and DESIGN.md "Asynchronous execution & termination detection".
 
+// asyncIdleWait bounds how long a locally idle rank waits for an arriving
+// batch before it pays for a termination probe collective.
+const asyncIdleWait = 200 * time.Microsecond
+
 // runAsync executes the full query on this rank in asynchronous mode.
 func (r *queryState) runAsync() error {
 	if !comm.SupportsBatch(r.t) {
@@ -85,10 +93,6 @@ func (r *queryState) runAsync() error {
 		r.longPending = make([]bool, r.nLocal)
 		r.longStore = newBucketStore()
 	}
-	if r.asyncStage == nil {
-		r.asyncStage = make([][]byte, r.size)
-		r.asyncStageAt = make([]time.Time, r.size)
-	}
 	if r.pd.Owner(r.src) == r.rank {
 		li := uint32(r.local(r.src))
 		r.dist[li] = 0
@@ -101,7 +105,6 @@ func (r *queryState) runAsync() error {
 	}
 	r.tracef("sssp: async start source=%d ranks=%d policy=%s", r.src, r.size, r.opts.PolicyString())
 
-	idleWait := r.opts.asyncFlushInterval()
 	for {
 		if _, err := r.drainAsync(0); err != nil {
 			return err
@@ -124,17 +127,11 @@ func (r *queryState) runAsync() error {
 			if err := r.asyncRound(k, long); err != nil {
 				return err
 			}
-			if err := r.flushDueAsync(); err != nil {
-				return err
-			}
 			continue
 		}
-		// Locally idle: everything staged goes out, then give arrivals one
-		// bounded wait before paying for a probe collective.
-		if err := r.flushAllAsync(); err != nil {
-			return err
-		}
-		got, err := r.drainAsync(idleWait)
+		// Locally idle: give arrivals one bounded wait before paying for a
+		// probe collective.
+		got, err := r.drainAsync(asyncIdleWait)
 		if err != nil {
 			return err
 		}
@@ -159,7 +156,9 @@ func (r *queryState) runAsync() error {
 
 // asyncRound relaxes one edge class (short when long is false, deferred
 // long otherwise) of bucket k's pending members, applies the self-owned
-// results inline and stages the rest.
+// results inline and sends every other destination its records as one
+// batch, counting them sent. The transport copies a batch, so the
+// encoder's buffer is reusable at once.
 func (r *queryState) asyncRound(k int64, long bool) error {
 	start := now()
 	before := r.relaxTotals()
@@ -174,22 +173,24 @@ func (r *queryState) asyncRound(k int64, long bool) error {
 	}
 	items := r.buildItems(members)
 	r.runWorkers(items, fn)
-	for tid := range r.tbufs {
-		for dest := 0; dest < r.size; dest++ {
-			buf := r.tbufs[tid][dest]
-			if len(buf) == 0 {
-				continue
-			}
-			if dest == r.rank {
-				if err := r.applyAsyncRelax(r.rank, buf, WireV1); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := r.stageAsync(dest, buf); err != nil {
+	for dest := 0; dest < r.size; dest++ {
+		if dest == r.rank {
+			if err := r.applyAsyncSelf(); err != nil {
 				return err
 			}
+			continue
 		}
+		n := r.encodeDest(relaxKind, dest)
+		if n == 0 {
+			continue
+		}
+		sendStart := now()
+		err := r.t.SendBatch(dest, r.out[dest])
+		r.charge(sendStart, false)
+		if err != nil {
+			return err
+		}
+		r.t.Stats.RecordsSent += int64(n)
 	}
 	r.stats.AsyncRounds++
 	r.logPhase(k, PhaseAsync, len(members), before, start)
@@ -234,8 +235,7 @@ func (r *queryState) asyncShortRelaxFn() func(tid int, it workItem) {
 				}
 				cnt.AsyncPush++
 				nd := du + graph.Dist(ws[i])
-				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				r.stageRelax(tid, nbr[i], v, ws[i], nd)
 			}
 		}
 	}
@@ -259,62 +259,82 @@ func (r *queryState) asyncLongRelaxFn() func(tid int, it workItem) {
 				}
 				cnt.AsyncPush++
 				nd := du + graph.Dist(ws[i])
-				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				r.stageRelax(tid, nbr[i], v, ws[i], nd)
 			}
 		}
 	}
 	return r.asyncLongFn
 }
 
-// applyAsyncRelax applies one batch of relax records (wire format wf;
-// self-applied staging is WireV1, received batches are the configured
-// format). The distance/parent rule is applyRelaxIn's canonical one; the
-// bucket bookkeeping differs: membership is re-entrant, guarded by the
-// pending flags instead of the settle-once invariant, and every strict
-// improvement queues both the eager short and the deferred long relax.
-func (r *queryState) applyAsyncRelax(src int, buf []byte, wf WireFormat) error {
+// applyAsyncRelax applies one received batch of relax records from
+// rank src; see applyAsyncRec for the rule.
+func (r *queryState) applyAsyncRelax(src int, buf []byte) error {
 	start := now()
 	defer r.charge(start, false)
-	rd := newRelaxReader(buf, wf)
+	rd := newRelaxReader(buf)
 	for {
 		v, tpar, nd, ok := rd.next()
 		if !ok {
 			break
 		}
-		par, zw := untagParent(tpar)
-		li := r.local(v)
-		if uint(li) >= uint(r.nLocal) {
-			return r.corruptErr(src, "relax", fmt.Errorf("vertex %d is not owned by this rank", v))
-		}
-		if nd >= r.dist[li] {
-			if nd == r.dist[li] && nd < graph.Inf && !zw && par < r.parent[li] && v != r.src {
-				r.parent[li] = par
-			}
-			continue
-		}
-		r.dist[li] = nd
-		r.parent[li] = par
-		nb := r.step.key(nd)
-		moved := nb != r.bucketOf[li]
-		r.bucketOf[li] = nb
-		if !r.pending[li] {
-			r.pending[li] = true
-			r.store.add(nb, uint32(li))
-		} else if moved {
-			// Already queued, but in a now-stale list: the entry there fails
-			// the bucketOf filter, so re-add under the new bucket.
-			r.store.add(nb, uint32(li))
-		}
-		if !r.longPending[li] {
-			r.longPending[li] = true
-			r.longStore.add(nb, uint32(li))
-		} else if moved {
-			r.longStore.add(nb, uint32(li))
+		if err := r.applyAsyncRec(src, v, tpar, nd); err != nil {
+			return err
 		}
 	}
 	if err := rd.err(); err != nil {
 		return r.corruptErr(src, "relax", err)
+	}
+	return nil
+}
+
+// applyAsyncSelf applies this round's self-owned records straight from
+// the typed staging, thread-major, and empties it.
+func (r *queryState) applyAsyncSelf() error {
+	start := now()
+	defer r.charge(start, false)
+	for _, rec := range takeStaged(r.relaxOut, r.rank, &r.relaxRecs) {
+		if err := r.applyAsyncRec(r.rank, rec.v, rec.parent, rec.dist); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyAsyncRec applies one relax record (tpar is the tagged parent
+// field). The distance/parent rule is applyRelaxIn's canonical one; the
+// bucket bookkeeping differs: membership is re-entrant, guarded by the
+// pending flags instead of the settle-once invariant, and every strict
+// improvement queues both the eager short and the deferred long relax.
+func (r *queryState) applyAsyncRec(src int, v, tpar graph.Vertex, nd graph.Dist) error {
+	par, zw := untagParent(tpar)
+	li := r.local(v)
+	if uint(li) >= uint(r.nLocal) {
+		return r.corruptErr(src, "relax", fmt.Errorf("vertex %d is not owned by this rank", v))
+	}
+	if nd >= r.dist[li] {
+		if nd == r.dist[li] && nd < graph.Inf && !zw && par < r.parent[li] && v != r.src {
+			r.parent[li] = par
+		}
+		return nil
+	}
+	r.dist[li] = nd
+	r.parent[li] = par
+	nb := r.step.key(nd)
+	moved := nb != r.bucketOf[li]
+	r.bucketOf[li] = nb
+	if !r.pending[li] {
+		r.pending[li] = true
+		r.store.add(nb, uint32(li))
+	} else if moved {
+		// Already queued, but in a now-stale list: the entry there fails
+		// the bucketOf filter, so re-add under the new bucket.
+		r.store.add(nb, uint32(li))
+	}
+	if !r.longPending[li] {
+		r.longPending[li] = true
+		r.longStore.add(nb, uint32(li))
+	} else if moved {
+		r.longStore.add(nb, uint32(li))
 	}
 	return nil
 }
@@ -324,7 +344,6 @@ func (r *queryState) applyAsyncRelax(src int, buf []byte, wf WireFormat) error {
 // polled. Returns whether anything was applied.
 func (r *queryState) drainAsync(wait time.Duration) (bool, error) {
 	got := false
-	wf := r.opts.WireFormat
 	for {
 		start := now()
 		src, payload, ok, err := r.t.RecvBatch(wait)
@@ -337,84 +356,11 @@ func (r *queryState) drainAsync(wait time.Duration) (bool, error) {
 		}
 		got = true
 		wait = 0
-		r.t.Stats.RecordsReceived += int64(wireRecordCount(payload, relaxKind, wf))
-		if err := r.applyAsyncRelax(src, payload, wf); err != nil {
+		r.t.Stats.RecordsReceived += int64(wireRecordCount(payload))
+		if err := r.applyAsyncRelax(src, payload); err != nil {
 			return got, err
 		}
 	}
-}
-
-// stageAsync appends staged v1 records for dest, flushing at the size
-// watermark.
-func (r *queryState) stageAsync(dest int, recs []byte) error {
-	if len(r.asyncStage[dest]) == 0 {
-		r.asyncStageAt[dest] = now()
-	}
-	r.asyncStage[dest] = append(r.asyncStage[dest], recs...)
-	if len(r.asyncStage[dest]) >= r.opts.asyncFlushBytes() {
-		return r.flushAsync(dest)
-	}
-	return nil
-}
-
-// flushDueAsync flushes every destination whose oldest staged record has
-// exceeded the time watermark, bounding how long a small tail of records
-// can linger unsent while this rank stays busy.
-func (r *queryState) flushDueAsync() error {
-	iv := r.opts.asyncFlushInterval()
-	for dest := 0; dest < r.size; dest++ {
-		if len(r.asyncStage[dest]) > 0 && since(r.asyncStageAt[dest]) >= iv {
-			if err := r.flushAsync(dest); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// flushAllAsync flushes every destination with staged records; a rank
-// must not enter a termination probe holding staged records (they are
-// not yet counted as sent, and nothing else would deliver them).
-func (r *queryState) flushAllAsync() error {
-	for dest := 0; dest < r.size; dest++ {
-		if err := r.flushAsync(dest); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flushAsync encodes and sends dest's staged records as one
-// point-to-point batch, counting them sent. The transport copies the
-// payload, so the staging (and encode scratch) is reusable immediately.
-func (r *queryState) flushAsync(dest int) error {
-	stage := r.asyncStage[dest]
-	if len(stage) == 0 {
-		return nil
-	}
-	n := numRelaxRecords(stage)
-	payload := stage
-	if r.opts.WireFormat == WireV2 {
-		recs := r.relaxRecs[:0]
-		for i := 0; i < n; i++ {
-			v, par, d := decodeRelax(stage, i)
-			recs = append(recs, relaxRec{v, par, d})
-		}
-		r.relaxRecs = recs
-		sortRelaxBatch(&r.sorter, recs)
-		r.asyncFlushBuf = encodeRelaxBatch(r.asyncFlushBuf[:0], recs)
-		payload = r.asyncFlushBuf
-	}
-	start := now()
-	err := r.t.SendBatch(dest, payload)
-	r.charge(start, false)
-	if err != nil {
-		return err
-	}
-	r.t.Stats.RecordsSent += int64(n)
-	r.asyncStage[dest] = stage[:0]
-	r.asyncStageAt[dest] = time.Time{}
-	return nil
 }
 
 // terminationProbe runs one counting probe over the collective: the

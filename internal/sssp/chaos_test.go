@@ -47,20 +47,6 @@ func (r *recordingTransport) Exchange(out [][]byte) ([][]byte, error) {
 	r.xBytes = append(r.xBytes, n)
 	return r.t.Exchange(out)
 }
-func (r *recordingTransport) ExchangeV(out [][][]byte) ([][]byte, error) {
-	n := 0
-	for i, segs := range out {
-		if i == r.t.Rank() {
-			continue
-		}
-		for _, s := range segs {
-			n += len(s)
-		}
-	}
-	r.kinds = append(r.kinds, 'X')
-	r.xBytes = append(r.xBytes, n)
-	return r.t.(comm.GatherExchanger).ExchangeV(out)
-}
 func (r *recordingTransport) AllreduceInt64(vals []int64, op comm.ReduceOp) ([]int64, error) {
 	r.kinds = append(r.kinds, 'A')
 	r.xBytes = append(r.xBytes, 0)
@@ -177,24 +163,20 @@ func TestChaosTruncatedFrameFailsQuery(t *testing.T) {
 func TestChaosCorruptFrameFailsQuery(t *testing.T) {
 	rec := recordCollectives(t, 1)
 	idx := firstLoadedExchange(t, rec, 16)
-	for _, wf := range []WireFormat{WireV1, WireV2} {
-		g := rmatTestGraph
-		group, err := memtransport.New(chaosRanks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		transports := group.Endpoints()
-		f, err := comm.NewFaulty(transports[1], comm.Fault{Collective: idx, Kind: comm.FaultCorrupt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		transports[1] = f
-		opts := chaosOpts()
-		opts.WireFormat = wf
-		_, err = RunWithTransports(g, blockDist(g.NumVertices(), chaosRanks), testRoot(g), opts, transports)
-		if err == nil {
-			t.Fatalf("%v: corrupt frame at collective %d went undetected", wf, idx)
-		}
+	g := rmatTestGraph
+	group, err := memtransport.New(chaosRanks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transports := group.Endpoints()
+	f, err := comm.NewFaulty(transports[1], comm.Fault{Collective: idx, Kind: comm.FaultCorrupt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	transports[1] = f
+	_, err = RunWithTransports(g, blockDist(g.NumVertices(), chaosRanks), testRoot(g), chaosOpts(), transports)
+	if err == nil {
+		t.Fatalf("corrupt frame at collective %d went undetected", idx)
 	}
 }
 

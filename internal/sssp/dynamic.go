@@ -417,25 +417,15 @@ func (r *queryState) repair(newPlane *rankGraph, batch UpdateBatch) (RepairStats
 
 	// Phase 2: seed. Invalidated vertices request offers over their full
 	// new adjacency; inserted edges offer both ways between finite
-	// endpoints. Records stage through thread 0's buffers, so clear all
-	// of them first (runWorkers, which normally does, is not involved).
+	// endpoints. Records stage through thread 0.
 	r.hybridMode = true
 	r.active = r.active[:0]
 	r.nextActive = r.nextActive[:0]
-	clearStaging := func() {
-		for tid := range r.tbufs {
-			for dest := range r.tbufs[tid] {
-				r.tbufs[tid][dest] = r.tbufs[tid][dest][:0]
-			}
-		}
-	}
-	clearStaging()
 	for _, li := range invalidated {
 		v := r.global(li)
 		nbr, ws := r.g.Neighbors(v)
 		for i, u := range nbr {
-			dst := r.pd.Owner(u)
-			r.tbufs[0][dst] = appendRequest(r.tbufs[0][dst], u, v, ws[i])
+			r.stageRequest(0, u, v, ws[i])
 		}
 	}
 	reqIn, err := r.exchangeRecords(requestKind)
@@ -505,22 +495,11 @@ func (r *queryState) repair(newPlane *rankGraph, batch UpdateBatch) (RepairStats
 
 // respondRepairRequests answers repair-seed requests: for each (u, v, w)
 // with u local and settled, offer relax(v, d(u)+w). The pull responder's
-// pattern minus the bucket filter; the self-delivered buffer is copied
-// out before the staging buffers it may alias are cleared.
+// pattern minus the bucket filter.
 func (r *queryState) respondRepairRequests(reqIn [][]byte) error {
-	if self := reqIn[r.rank]; len(self) > 0 {
-		r.scratch = append(r.scratch[:0], self...)
-		reqIn[r.rank] = r.scratch
-	}
-	for tid := range r.tbufs {
-		for dest := range r.tbufs[tid] {
-			r.tbufs[tid][dest] = r.tbufs[tid][dest][:0]
-		}
-	}
-	wf := r.opts.WireFormat
 	nVerts := graph.Vertex(r.pd.NumVertices())
 	for src, buf := range reqIn {
-		rd := newRequestReader(buf, wf)
+		rd := newRequestReader(buf)
 		for {
 			u, v, w, ok := rd.next()
 			if !ok {
@@ -538,9 +517,7 @@ func (r *queryState) respondRepairRequests(reqIn [][]byte) error {
 			if r.dist[li] >= graph.Inf {
 				continue
 			}
-			nd := r.dist[li] + graph.Dist(w)
-			dst := r.pd.Owner(v)
-			r.tbufs[0][dst] = appendRelax(r.tbufs[0][dst], v, tagParent(u, w), nd)
+			r.stageRelax(0, v, u, w, r.dist[li]+graph.Dist(w))
 		}
 		if err := rd.err(); err != nil {
 			return r.corruptErr(src, "request", err)
@@ -565,20 +542,13 @@ func (r *queryState) offerInsert(a, b graph.Vertex) {
 	if !ok {
 		return
 	}
-	nd := r.dist[li] + graph.Dist(w)
-	dst := r.pd.Owner(b)
-	r.tbufs[0][dst] = appendRelax(r.tbufs[0][dst], b, tagParent(a, w), nd)
+	r.stageRelax(0, b, a, w, r.dist[li]+graph.Dist(w))
 }
 
 // reelectParents runs the final canonical-election round: every touched
 // local vertex requests offers over its full adjacency, and the
 // responses re-run the equal-distance parent election in applyRelaxIn.
 func (r *queryState) reelectParents(touched []bool) error {
-	for tid := range r.tbufs {
-		for dest := range r.tbufs[tid] {
-			r.tbufs[tid][dest] = r.tbufs[tid][dest][:0]
-		}
-	}
 	for li, t := range touched {
 		if !t {
 			continue
@@ -586,8 +556,7 @@ func (r *queryState) reelectParents(touched []bool) error {
 		v := r.global(uint32(li))
 		nbr, ws := r.g.Neighbors(v)
 		for i, u := range nbr {
-			dst := r.pd.Owner(u)
-			r.tbufs[0][dst] = appendRequest(r.tbufs[0][dst], u, v, ws[i])
+			r.stageRequest(0, u, v, ws[i])
 		}
 	}
 	reqIn, err := r.exchangeRecords(requestKind)

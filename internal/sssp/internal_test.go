@@ -1,14 +1,9 @@
 package sssp
 
-import (
-	"testing"
-	"testing/quick"
+import "testing"
 
-	"parsssp/internal/graph"
-)
-
-// Tests for the unexported building blocks: the bucket store and the wire
-// record codecs.
+// Tests for the unexported building blocks: the bucket store and the
+// option presets. The record codec's tests live in wire_test.go.
 
 func TestBucketStoreBasics(t *testing.T) {
 	s := newBucketStore()
@@ -80,52 +75,6 @@ func TestBucketStoreTake(t *testing.T) {
 	}
 	if s.list(7) != nil {
 		t.Error("take did not remove the list")
-	}
-}
-
-func TestRelaxRecordRoundTrip(t *testing.T) {
-	var buf []byte
-	buf = appendRelax(buf, 42, 7, 1234567890123)
-	buf = appendRelax(buf, 0, 0, 0)
-	buf = appendRelax(buf, ^graph.Vertex(0), NoParent, graph.Inf)
-	if numRelaxRecords(buf) != 3 {
-		t.Fatalf("numRelaxRecords = %d", numRelaxRecords(buf))
-	}
-	v, par, d := decodeRelax(buf, 0)
-	if v != 42 || par != 7 || d != 1234567890123 {
-		t.Errorf("record 0 = (%d, %d, %d)", v, par, d)
-	}
-	v, par, d = decodeRelax(buf, 2)
-	if v != ^graph.Vertex(0) || par != NoParent || d != graph.Inf {
-		t.Errorf("record 2 = (%d, %d, %d)", v, par, d)
-	}
-}
-
-func TestRequestRecordRoundTrip(t *testing.T) {
-	var buf []byte
-	buf = appendRequest(buf, 7, 9, 255)
-	u, v, w := decodeRequest(buf, 0)
-	if u != 7 || v != 9 || w != 255 {
-		t.Errorf("request = (%d, %d, %d)", u, v, w)
-	}
-}
-
-func TestQuickRecordCodec(t *testing.T) {
-	fRelax := func(v, par uint32, d int64) bool {
-		buf := appendRelax(nil, v, par, d)
-		gv, gp, gd := decodeRelax(buf, 0)
-		return gv == v && gp == par && gd == d && len(buf) == relaxRecordSize
-	}
-	if err := quick.Check(fRelax, nil); err != nil {
-		t.Error(err)
-	}
-	fReq := func(u, v, w uint32) bool {
-		buf := appendRequest(nil, u, v, w)
-		gu, gv, gw := decodeRequest(buf, 0)
-		return gu == u && gv == v && gw == w && len(buf) == requestRecordSize
-	}
-	if err := quick.Check(fReq, nil); err != nil {
-		t.Error(err)
 	}
 }
 

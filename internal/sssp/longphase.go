@@ -85,8 +85,7 @@ func (r *queryState) pushOuterShort(k int64, members []uint32) error {
 					continue // inner short: already relaxed in short phases
 				}
 				cnt.OuterShortPush++
-				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				r.stageRelax(tid, nbr[i], v, ws[i], nd)
 			}
 		}
 	}
@@ -116,8 +115,7 @@ func (r *queryState) pushScanLong(k int64, members []uint32, bs *BucketStats) er
 			for i := lo; i < it.hi; i++ {
 				cnt.LongPush++
 				nd := du + graph.Dist(ws[i])
-				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				r.stageRelax(tid, nbr[i], v, ws[i], nd)
 			}
 		}
 	}
@@ -177,8 +175,7 @@ func (r *queryState) pullScan(k int64) error {
 					break // weight-sorted: the rest fail the test too
 				}
 				cnt.PullRequests++
-				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRequest(r.tbufs[tid][dst], nbr[i], v, ws[i])
+				r.stageRequest(tid, nbr[i], v, ws[i])
 			}
 		}
 	}
@@ -190,27 +187,15 @@ func (r *queryState) pullScan(k int64) error {
 	}
 
 	// Respond: for each request (u, v, w) with u local and in the current
-	// bucket, send relax(v, d(u)+w) to v's owner. Serial walk, emitting
-	// through thread 0's buffers. The self-delivered buffer may alias the
-	// very buffers responses are appended to (local delivery is
-	// zero-copy), so it is copied to a scratch area first. All threads'
-	// staging buffers are cleared — they still hold the request payloads,
-	// and exchangeRecords gathers every thread's buffer.
+	// bucket, send relax(v, d(u)+w) to v's owner. Serial walk, staging
+	// through thread 0. Responses stage typed, so nothing they write can
+	// alias the received requests (the self-delivered batch is r.out's,
+	// rewritten only by the next exchange).
 	start = now()
-	if self := reqIn[r.rank]; len(self) > 0 {
-		r.scratch = append(r.scratch[:0], self...)
-		reqIn[r.rank] = r.scratch
-	}
-	for tid := range r.tbufs {
-		for dest := range r.tbufs[tid] {
-			r.tbufs[tid][dest] = r.tbufs[tid][dest][:0]
-		}
-	}
 	cnt := &r.tcnt[0]
-	wf := r.opts.WireFormat
 	nVerts := graph.Vertex(r.pd.NumVertices())
 	for src, buf := range reqIn {
-		rd := newRequestReader(buf, wf)
+		rd := newRequestReader(buf)
 		for {
 			u, v, w, ok := rd.next()
 			if !ok {
@@ -234,9 +219,7 @@ func (r *queryState) pullScan(k int64) error {
 				continue
 			}
 			cnt.PullResponses++
-			nd := r.dist[li] + graph.Dist(w)
-			dst := r.pd.Owner(v)
-			r.tbufs[0][dst] = appendRelax(r.tbufs[0][dst], v, tagParent(u, w), nd)
+			r.stageRelax(0, v, u, w, r.dist[li]+graph.Dist(w))
 		}
 		if err := rd.err(); err != nil {
 			r.charge(start, false)
@@ -378,8 +361,7 @@ func (r *queryState) bellmanFordFn() func(tid int, it workItem) {
 			for i := it.lo; i < it.hi; i++ {
 				cnt.BellmanFord++
 				nd := du + graph.Dist(ws[i])
-				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				r.stageRelax(tid, nbr[i], v, ws[i], nd)
 			}
 		}
 	}

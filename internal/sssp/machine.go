@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"parsssp/internal/comm"
 	"parsssp/internal/comm/memtransport"
@@ -234,9 +233,11 @@ func (r *queryState) reset(src graph.Vertex) {
 	for i := range r.longPending {
 		r.longPending[i] = false
 	}
-	for i := range r.asyncStage {
-		r.asyncStage[i] = r.asyncStage[i][:0]
-		r.asyncStageAt[i] = time.Time{}
+	for tid := range r.relaxOut { // only a failed query leaves records staged
+		for dest := range r.relaxOut[tid] {
+			r.relaxOut[tid][dest] = r.relaxOut[tid][dest][:0]
+			r.reqOut[tid][dest] = r.reqOut[tid][dest][:0]
+		}
 	}
 	r.store.reset()
 	r.longStore.reset()

@@ -3,12 +3,11 @@ package sssp
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"parsssp/internal/graph"
 )
 
-// Wire records. Record kind is implied by the superstep (relax supersteps
+// Records. Record kind is implied by the superstep (relax supersteps
 // carry only relax records, request supersteps only requests).
 //
 //	relax:   v, parent, dist — "set d(v) = min(d(v), dist), recording
@@ -19,46 +18,18 @@ import (
 // Parents make the result a full Graph500-style SSSP tree at the cost of
 // one parent id per relaxation message.
 //
-// Two encodings exist, selected by Options.WireFormat:
-//
-//   - v1 is fixed-width (16-byte relax, 12-byte request records) in
-//     emission order. It is the historical format; paper-metric runs that
-//     want byte counts proportional to record counts use it.
-//   - v2 is a batch codec: a uvarint record count, then varint-packed
-//     records. Relax batches are stably sorted by destination vertex so
-//     ids delta-encode (usually 1–2 bytes); parent and dist are plain
-//     uvarints. Request batches stay in emission order (sorting them
-//     would permute the pull responses derived from them) with u, v, w
-//     as plain uvarints. A typical relax record shrinks from 16 to ~5–7
-//     bytes. Decoding is sequential via relaxReader / requestReader.
-//
-// Both decode through the same readers, so the apply paths are
-// format-oblivious. See DESIGN.md "Wire format v2" for the layouts and
-// the argument that sorting relax batches cannot change results.
-
-// WireFormat selects the exchange record encoding.
-type WireFormat int
-
-const (
-	// WireV2 is the compact batch codec (sorted, delta+varint). The
-	// default.
-	WireV2 WireFormat = iota
-	// WireV1 is the fixed-width record format: 16 bytes per relax
-	// record, 12 per request, in emission order.
-	WireV1
-)
-
-// String returns the format name.
-func (wf WireFormat) String() string {
-	switch wf {
-	case WireV2:
-		return "v2"
-	case WireV1:
-		return "v1"
-	default:
-		return fmt.Sprintf("WireFormat(%d)", int(wf))
-	}
-}
+// Records travel one path. The relax loops stage them typed, per thread
+// and destination (relaxRec, requestRec; see queryState.relaxOut), and
+// one per-destination encoder turns a destination's staging into a
+// batch: a uvarint record count, then varint-packed records. Relax
+// batches are stably sorted by destination vertex so ids delta-encode
+// (usually 1–2 bytes); parent and dist are plain uvarints. Request
+// batches stay in emission order (sorting them would permute the pull
+// responses derived from them) with u, v, w as plain uvarints. A typical
+// relax record takes ~5–7 bytes. Decoding is sequential via relaxReader
+// / requestReader, which treat every batch as untrusted input. See
+// DESIGN.md "Wire format" for the layout and the argument that sorting
+// relax batches cannot change results.
 
 // recKind tells the codec which record schema a superstep carries.
 type recKind int
@@ -68,36 +39,6 @@ const (
 	requestKind
 )
 
-const (
-	relaxRecordSize   = 16
-	requestRecordSize = 12
-)
-
-// ---- v1 fixed-width records ------------------------------------------------
-
-// appendRelax appends a v1 relax record to buf. v1 doubles as the
-// in-memory staging format of the per-thread emission buffers, whatever
-// format goes on the wire.
-func appendRelax(buf []byte, v, parent graph.Vertex, d graph.Dist) []byte {
-	var rec [relaxRecordSize]byte
-	binary.LittleEndian.PutUint32(rec[0:4], v)
-	binary.LittleEndian.PutUint32(rec[4:8], parent)
-	binary.LittleEndian.PutUint64(rec[8:16], uint64(d))
-	return append(buf, rec[:]...)
-}
-
-// decodeRelax reads the i-th v1 relax record of buf.
-func decodeRelax(buf []byte, i int) (v, parent graph.Vertex, d graph.Dist) {
-	off := i * relaxRecordSize
-	v = binary.LittleEndian.Uint32(buf[off : off+4])
-	parent = binary.LittleEndian.Uint32(buf[off+4 : off+8])
-	d = graph.Dist(binary.LittleEndian.Uint64(buf[off+8 : off+16]))
-	return v, parent, d
-}
-
-// numRelaxRecords returns the v1 relax record count of a buffer.
-func numRelaxRecords(buf []byte) int { return len(buf) / relaxRecordSize }
-
 // ---- parent-field tagging ---------------------------------------------------
 
 // The parent field of a relax record carries, besides the tree
@@ -106,9 +47,9 @@ func numRelaxRecords(buf []byte) int { return len(buf) / relaxRecordSize }
 // applyRelaxIn): offers over zero-weight edges must not compete in the
 // canonical equal-distance election, because inside a cluster of
 // equal-distance vertices joined by zero-weight edges a pointwise min-id
-// election can pick parents that form a cycle. Both wire formats carry
-// the field opaquely, so only the emit and apply sites know about the
-// tag. Shifting the id left one bit caps vertex ids at 2^31-1, far above
+// election can pick parents that form a cycle. The codec carries the
+// field opaquely, so only the emit and apply sites know about the tag.
+// Shifting the id left one bit caps vertex ids at 2^31-1, far above
 // what the int-indexed CSR can host anyway.
 
 // tagParent packs a parent id and the zero-weight flag of the offering
@@ -127,34 +68,21 @@ func untagParent(t graph.Vertex) (parent graph.Vertex, zeroW bool) {
 	return t >> 1, t&1 == 1
 }
 
-// appendRequest appends a v1 pull-request record to buf.
-func appendRequest(buf []byte, u, v graph.Vertex, w graph.Weight) []byte {
-	var rec [requestRecordSize]byte
-	binary.LittleEndian.PutUint32(rec[0:4], u)
-	binary.LittleEndian.PutUint32(rec[4:8], v)
-	binary.LittleEndian.PutUint32(rec[8:12], w)
-	return append(buf, rec[:]...)
-}
+// ---- batch codec -----------------------------------------------------------
 
-// decodeRequest reads the i-th v1 request record of buf.
-func decodeRequest(buf []byte, i int) (u, v graph.Vertex, w graph.Weight) {
-	off := i * requestRecordSize
-	u = binary.LittleEndian.Uint32(buf[off : off+4])
-	v = binary.LittleEndian.Uint32(buf[off+4 : off+8])
-	w = binary.LittleEndian.Uint32(buf[off+8 : off+12])
-	return u, v, w
-}
-
-// numRequestRecords returns the v1 request record count of a buffer.
-func numRequestRecords(buf []byte) int { return len(buf) / requestRecordSize }
-
-// ---- v2 batch codec --------------------------------------------------------
-
-// relaxRec is a decoded relax record, the unit the v2 encoder sorts.
+// relaxRec is a relax record as staged and sorted before encoding.
+// parent is the tagged field (see tagParent).
 type relaxRec struct {
 	v      graph.Vertex
 	parent graph.Vertex
 	dist   graph.Dist
+}
+
+// requestRec is a pull or repair request record as staged before
+// encoding.
+type requestRec struct {
+	u, v graph.Vertex
+	w    graph.Weight
 }
 
 // relaxSorter holds the pooled scratch buffer of the stable radix sort
@@ -162,7 +90,7 @@ type relaxRec struct {
 // sorts reuse the same storage.
 type relaxSorter struct{ aux []relaxRec }
 
-// encodeRelaxBatch appends the v2 encoding of recs to buf. recs must be
+// encodeRelaxBatch appends the batch encoding of recs to buf. recs must be
 // sorted by v ascending (the delta encoding requires it); use
 // sortRelaxBatch to get there without changing per-vertex record order.
 func encodeRelaxBatch(buf []byte, recs []relaxRec) []byte {
@@ -181,7 +109,8 @@ func encodeRelaxBatch(buf []byte, recs []relaxRec) []byte {
 // for small batches, an LSD radix sort on the vertex id (pooled scratch,
 // trivial byte passes skipped) for the rest. Both are stable, which the
 // determinism argument needs — equal-vertex records must keep their
-// emission order so v1 and v2 elect the same first-wins parent.
+// emission order, or the first-wins parent of a strict improvement would
+// depend on the sort.
 // sort.Stable's in-place merging dominated CPU profiles of the encode
 // path about 4x, hence the hand-rolled sort.
 func sortRelaxBatch(s *relaxSorter, recs []relaxRec) {
@@ -234,31 +163,23 @@ func sortRelaxBatch(s *relaxSorter, recs []relaxRec) {
 	}
 }
 
-// encodeRequestBatch appends the v2 encoding of a request batch staged in
-// v1 layout. Requests are NOT sorted: the responder walks them in order,
-// and permuting requests would permute the emitted responses.
-func encodeRequestBatch(buf []byte, v1buf []byte) []byte {
-	n := numRequestRecords(v1buf)
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for i := 0; i < n; i++ {
-		u, v, w := decodeRequest(v1buf, i)
-		buf = binary.AppendUvarint(buf, uint64(u))
-		buf = binary.AppendUvarint(buf, uint64(v))
-		buf = binary.AppendUvarint(buf, uint64(w))
+// encodeRequestBatch appends the batch encoding of recs to buf. Requests
+// are NOT sorted: the responder walks them in order, and permuting
+// requests would permute the emitted responses.
+func encodeRequestBatch(buf []byte, recs []requestRec) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(recs)))
+	for _, rec := range recs {
+		buf = binary.AppendUvarint(buf, uint64(rec.u))
+		buf = binary.AppendUvarint(buf, uint64(rec.v))
+		buf = binary.AppendUvarint(buf, uint64(rec.w))
 	}
 	return buf
 }
 
-// wireRecordCount returns the record count of an encoded buffer without
-// decoding the records: the length quotient for v1, the header for v2.
-// Malformed v2 headers count as zero, matching the readers.
-func wireRecordCount(buf []byte, kind recKind, wf WireFormat) int {
-	if wf == WireV1 {
-		if kind == relaxKind {
-			return numRelaxRecords(buf)
-		}
-		return numRequestRecords(buf)
-	}
+// wireRecordCount returns the record count a batch's header declares,
+// without decoding the records. Malformed headers count as zero,
+// matching the readers.
+func wireRecordCount(buf []byte) int {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
 		return 0
@@ -267,15 +188,15 @@ func wireRecordCount(buf []byte, kind recKind, wf WireFormat) int {
 }
 
 // totalWireRecords sums wireRecordCount over received buffers.
-func totalWireRecords(in [][]byte, kind recKind, wf WireFormat) int {
+func totalWireRecords(in [][]byte) int {
 	total := 0
 	for _, buf := range in {
-		total += wireRecordCount(buf, kind, wf)
+		total += wireRecordCount(buf)
 	}
 	return total
 }
 
-// ---- format-oblivious readers ---------------------------------------------
+// ---- readers ---------------------------------------------------------------
 
 // readUvarint decodes the uvarint at buf[off:], returning the value and
 // the offset past it. A zero next offset means malformed input
@@ -309,28 +230,21 @@ func readUvarint(buf []byte, off int) (uint64, int) {
 // silently fewer (or garbage) relaxations.
 var errMalformedPayload = errors.New("malformed wire records")
 
-// relaxReader iterates the relax records of one encoded buffer in either
-// format. On a malformed buffer (truncated or overlong varints — possible
-// only with corrupted input, never from our encoders) it stops early
-// rather than panicking and records the damage; callers check err()
-// after draining the reader.
+// relaxReader iterates the relax records of one encoded batch. On a
+// malformed buffer (truncated or overlong varints — possible only with
+// corrupted input, never from our encoders) it stops early rather than
+// panicking and records the damage; callers check err() after draining
+// the reader.
 type relaxReader struct {
 	buf  []byte
-	off  int // byte offset (v2) or record index (v1)
+	off  int // byte offset of the next record
 	n    int // records remaining
 	prev graph.Vertex
-	v1   bool
 	bad  bool // malformed input seen
 }
 
 // newRelaxReader positions a reader at the first record of buf.
-func newRelaxReader(buf []byte, wf WireFormat) relaxReader {
-	if wf == WireV1 {
-		// v1 buffers are whole 16-byte records; a remainder means the
-		// frame was cut short.
-		return relaxReader{buf: buf, n: numRelaxRecords(buf), v1: true,
-			bad: len(buf)%relaxRecordSize != 0}
-	}
+func newRelaxReader(buf []byte) relaxReader {
 	if len(buf) == 0 {
 		return relaxReader{} // nothing from this rank: the common, honest case
 	}
@@ -361,11 +275,6 @@ func (rd *relaxReader) next() (v, parent graph.Vertex, d graph.Dist, ok bool) {
 		return 0, 0, 0, false
 	}
 	rd.n--
-	if rd.v1 {
-		v, parent, d = decodeRelax(rd.buf, rd.off)
-		rd.off++
-		return v, parent, d, true
-	}
 	dv, o1 := readUvarint(rd.buf, rd.off)
 	if o1 == 0 {
 		rd.n, rd.bad = 0, true
@@ -389,23 +298,17 @@ func (rd *relaxReader) next() (v, parent graph.Vertex, d graph.Dist, ok bool) {
 	return rd.prev, graph.Vertex(p), graph.Dist(du), true
 }
 
-// requestReader iterates the request records of one encoded buffer in
-// either format, with the same malformed-input tolerance (and err
-// reporting) as relaxReader.
+// requestReader iterates the request records of one encoded batch, with
+// the same malformed-input tolerance (and err reporting) as relaxReader.
 type requestReader struct {
 	buf []byte
 	off int
 	n   int
-	v1  bool
 	bad bool
 }
 
 // newRequestReader positions a reader at the first record of buf.
-func newRequestReader(buf []byte, wf WireFormat) requestReader {
-	if wf == WireV1 {
-		return requestReader{buf: buf, n: numRequestRecords(buf), v1: true,
-			bad: len(buf)%requestRecordSize != 0}
-	}
+func newRequestReader(buf []byte) requestReader {
 	if len(buf) == 0 {
 		return requestReader{}
 	}
@@ -434,11 +337,6 @@ func (rd *requestReader) next() (u, v graph.Vertex, w graph.Weight, ok bool) {
 		return 0, 0, 0, false
 	}
 	rd.n--
-	if rd.v1 {
-		u, v, w = decodeRequest(rd.buf, rd.off)
-		rd.off++
-		return u, v, w, true
-	}
 	uu, o1 := readUvarint(rd.buf, rd.off)
 	if o1 == 0 {
 		rd.n, rd.bad = 0, true

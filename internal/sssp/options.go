@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"parsssp/internal/graph"
 )
@@ -71,11 +70,11 @@ const (
 	ExecBSP ExecMode = iota
 	// ExecAsync is the barrier-free mode: each rank drains incoming relax
 	// batches as they arrive, applies them through the lazy-deletion
-	// buckets, and forwards outgoing batches as soon as a size or time
-	// watermark fills — with counting-based distributed termination
-	// detection over the collective Allreduce replacing per-phase
-	// barriers. Produces the same distance and parent trees as ExecBSP
-	// (see DESIGN.md "Asynchronous execution & termination detection").
+	// buckets, and forwards each relax round's records as soon as the
+	// round ends — with counting-based distributed termination detection
+	// over the collective Allreduce replacing per-phase barriers.
+	// Produces the same distance and parent trees as ExecBSP (see
+	// DESIGN.md "Asynchronous execution & termination detection").
 	ExecAsync
 )
 
@@ -223,13 +222,6 @@ type Options struct {
 	// it (exact category counting is serial).
 	ParallelApply bool
 
-	// WireFormat selects the exchange record encoding: WireV2 (the
-	// default, compact varint batches) or WireV1 (fixed-width records,
-	// for byte counts proportional to record counts). Both produce
-	// identical dist/parent results and identical record-level Stats;
-	// only Traffic.BytesSent/BytesReceived differ. See msg.go.
-	WireFormat WireFormat
-
 	// ExecMode selects bulk-synchronous (the default) or asynchronous
 	// barrier-free execution; see ExecMode. Async ignores the per-bucket
 	// phase machinery (Prune, IOS, Hybrid, Census): without phase
@@ -237,20 +229,6 @@ type Options struct {
 	// over, so every relaxation is a push — eager for short edges,
 	// deferred per bucket for long ones (see async.go).
 	ExecMode ExecMode
-
-	// AsyncFlushBytes is the size watermark of the async mode's outgoing
-	// staging: a destination's batch is sent as soon as it holds at least
-	// this many staged bytes. Zero means 1 — forward every round's
-	// records immediately, which measures fastest on latency-dominated
-	// fabrics because improvements propagate at wire speed and peers
-	// speculate less on stale distances. Raise it to amortize a
-	// per-message cost when the fabric has one.
-	AsyncFlushBytes int
-
-	// AsyncFlushInterval is the time watermark: staged records older than
-	// this are flushed even below the size watermark, bounding the
-	// latency a small tail of records can linger unsent. Zero means 200µs.
-	AsyncFlushInterval time.Duration
 }
 
 // Validate reports configuration errors.
@@ -300,38 +278,13 @@ func (o *Options) Validate() error {
 	default:
 		return fmt.Errorf("sssp: unknown SteppingPolicy %d", int(o.Policy))
 	}
-	if o.WireFormat != WireV1 && o.WireFormat != WireV2 {
-		return fmt.Errorf("sssp: unknown WireFormat %d", int(o.WireFormat))
-	}
 	if o.ExecMode != ExecBSP && o.ExecMode != ExecAsync {
 		return fmt.Errorf("sssp: unknown ExecMode %d", int(o.ExecMode))
 	}
-	if o.ExecMode == ExecAsync {
-		if o.Census {
-			return fmt.Errorf("sssp: Census requires bulk-synchronous per-bucket phases (ExecMode bsp)")
-		}
-		if o.AsyncFlushBytes < 0 {
-			return fmt.Errorf("sssp: negative AsyncFlushBytes %d", o.AsyncFlushBytes)
-		}
-		if o.AsyncFlushInterval < 0 {
-			return fmt.Errorf("sssp: negative AsyncFlushInterval %v", o.AsyncFlushInterval)
-		}
+	if o.ExecMode == ExecAsync && o.Census {
+		return fmt.Errorf("sssp: Census requires bulk-synchronous per-bucket phases (ExecMode bsp)")
 	}
 	return nil
-}
-
-func (o *Options) asyncFlushBytes() int {
-	if o.AsyncFlushBytes == 0 {
-		return 1
-	}
-	return o.AsyncFlushBytes
-}
-
-func (o *Options) asyncFlushInterval() time.Duration {
-	if o.AsyncFlushInterval == 0 {
-		return 200 * time.Microsecond
-	}
-	return o.AsyncFlushInterval
 }
 
 func (o *Options) threads() int {

@@ -230,23 +230,20 @@ func TestSteppingPolicyOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ranks := range []int{2, 4} {
-		for _, wire := range []WireFormat{WireV1, WireV2} {
-			for pol, o := range oracle {
-				var opts Options
-				if pol == PolicyRadius {
-					opts = RadiusSteppingOptions(0)
-				} else {
-					opts = RhoSteppingOptions(0)
-				}
-				opts.Threads = 2
-				opts.WireFormat = wire
-				res := runOverTCP(t, g, ranks, src, opts)
-				if !reflect.DeepEqual(res.Dist, o.Dist) {
-					t.Errorf("%v ranks=%d wire=%v: TCP distances differ", pol, ranks, wire)
-				}
-				if !reflect.DeepEqual(res.Parent, o.Parent) {
-					t.Errorf("%v ranks=%d wire=%v: TCP parents differ", pol, ranks, wire)
-				}
+		for pol, o := range oracle {
+			var opts Options
+			if pol == PolicyRadius {
+				opts = RadiusSteppingOptions(0)
+			} else {
+				opts = RhoSteppingOptions(0)
+			}
+			opts.Threads = 2
+			res := runOverTCP(t, g, ranks, src, opts)
+			if !reflect.DeepEqual(res.Dist, o.Dist) {
+				t.Errorf("%v ranks=%d: TCP distances differ", pol, ranks)
+			}
+			if !reflect.DeepEqual(res.Parent, o.Parent) {
+				t.Errorf("%v ranks=%d: TCP parents differ", pol, ranks)
 			}
 		}
 	}

@@ -166,8 +166,7 @@ func (r *queryState) radiusRelaxFn() func(tid int, it workItem) {
 			for i := it.lo; i < it.hi; i++ {
 				cnt.RadiusPush++
 				nd := du + graph.Dist(ws[i])
-				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				r.stageRelax(tid, nbr[i], v, ws[i], nd)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package sssp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -36,19 +35,20 @@ type queryState struct {
 	mark       []int64 // stamp array deduplicating nextActive
 	stamp      int64
 
-	// Per-thread outgoing buffers and counters; index [thread][dest].
-	// tbufs hold v1-staged records; exchangeRecords either ships them as
-	// gathered segments (WireV1) or re-encodes them (WireV2).
-	tbufs      [][][]byte
+	// Per-thread outgoing records and counters; staging is indexed
+	// [thread][dest]. Every record staged is consumed by the encodeDest
+	// call of the exchange (or async round) that follows, so the staging
+	// is empty between supersteps; reset clears what a failed query left.
+	relaxOut   [][][]relaxRec
+	reqOut     [][][]requestRec
 	tcnt       []RelaxCounts
-	out        [][]byte   // per-dest encoded buffers of the WireV2 path
-	outSegs    [][][]byte // per-dest segment lists of the WireV1 path
-	relaxRecs  []relaxRec // decoded-batch scratch of the WireV2 encoder
+	out        [][]byte     // per-dest encoded batches
+	relaxRecs  []relaxRec   // multi-thread gather scratch of encodeDest
+	reqRecs    []requestRec // likewise for requests
 	sorter     relaxSorter
 	members    []uint32 // bucket-member scratch of collectMembers
 	requesters []uint32 // requester scratch of the pull phase
 	items      []workItem
-	scratch    []byte         // copy of self-delivered buffers when re-emitting (pull responses)
 	applyStage []applyStaging // per-thread staging for the parallel apply path
 	reduceVal  [2]int64       // input scratch of small allreduces
 
@@ -78,12 +78,9 @@ type queryState struct {
 
 	// Asynchronous execution scratch (ExecMode async; see async.go).
 	// Allocated lazily by the first async run on this state.
-	pending       []bool      // vertex is queued for an async short-edge round
-	longPending   []bool      // vertex has a deferred async long-edge relax
-	longStore     bucketStore // deferred long-edge queue, keyed like store
-	asyncStage    [][]byte    // per-dest staged v1 records awaiting a watermark
-	asyncStageAt  []time.Time // stage time of each dest's oldest staged record
-	asyncFlushBuf []byte      // wire-encoding scratch of async flushes
+	pending     []bool      // vertex is queued for an async short-edge round
+	longPending []bool      // vertex has a deferred async long-edge relax
+	longStore   bucketStore // deferred long-edge queue, keyed like store
 
 	settledTotal int64
 	epochSeq     int // epoch ordinal (for DecisionSequence)
@@ -127,9 +124,11 @@ func newQueryState(plane *rankGraph, t comm.Transport) (*queryState, error) {
 	}
 	r.store = newBucketStore()
 	T := r.opts.threads()
-	r.tbufs = make([][][]byte, T)
-	for i := range r.tbufs {
-		r.tbufs[i] = make([][]byte, r.size)
+	r.relaxOut = make([][][]relaxRec, T)
+	r.reqOut = make([][][]requestRec, T)
+	for i := 0; i < T; i++ {
+		r.relaxOut[i] = make([][]relaxRec, r.size)
+		r.reqOut[i] = make([][]requestRec, r.size)
 	}
 	r.tcnt = make([]RelaxCounts, T)
 	r.out = make([][]byte, r.size)
@@ -178,27 +177,20 @@ func (r *queryState) allreduce(vals []int64, op comm.ReduceOp, bucketOverhead bo
 	return res, err
 }
 
-// exchangeRecords runs the superstep's all-to-all over the per-thread
-// staging buffers and maintains the record-level traffic counters (the
-// transport wrapper cannot see record boundaries, so the engine counts).
-//
-// WireV1 ships the staging buffers as gathered segments — the transport
-// consumes them directly, so the historical per-dest concatenation copy
-// (the old mergeBuffers) is gone. WireV2 decodes the staged records,
-// sorts relax batches by destination vertex, and re-encodes them
-// compactly into pooled per-dest buffers; see msg.go for the codec.
+// exchangeRecords runs the superstep's all-to-all over the staged
+// records of the given kind and maintains the record-level traffic
+// counters (the transport wrapper cannot see record boundaries, so the
+// engine counts).
 func (r *queryState) exchangeRecords(kind recKind) ([][]byte, error) {
 	start := now()
 	defer r.charge(start, false)
-	wf := r.opts.WireFormat
-	var in [][]byte
-	var err error
-	if wf == WireV1 {
-		in, err = r.t.ExchangeV(r.gatherSegs(kind))
-	} else {
-		r.encodeOut(kind)
-		in, err = r.t.Exchange(r.out)
+	for dest := 0; dest < r.size; dest++ {
+		n := r.encodeDest(kind, dest)
+		if dest != r.rank {
+			r.t.Stats.RecordsSent += int64(n)
+		}
 	}
+	in, err := r.t.Exchange(r.out)
 	if err != nil {
 		return nil, err
 	}
@@ -206,86 +198,60 @@ func (r *queryState) exchangeRecords(kind recKind) ([][]byte, error) {
 		if src == r.rank {
 			continue
 		}
-		r.t.Stats.RecordsReceived += int64(wireRecordCount(buf, kind, wf))
+		r.t.Stats.RecordsReceived += int64(wireRecordCount(buf))
 	}
 	return in, nil
 }
 
-// gatherSegs assembles the per-dest segment lists of the WireV1 path from
-// the non-empty staging buffers (thread-major, matching the historical
-// concatenation order) and counts the records sent to other ranks.
-func (r *queryState) gatherSegs(kind recKind) [][][]byte {
-	if r.outSegs == nil {
-		r.outSegs = make([][][]byte, r.size)
-	}
-	recSize := relaxRecordSize
+// encodeDest encodes every thread's staged records of the given kind for
+// dest into r.out[dest] as one batch, thread-major, empties that staging
+// and returns the record count. Relax batches are stably sorted by
+// destination vertex for the delta encoding; request batches keep
+// emission order (see encodeRequestBatch). BSP exchanges and async
+// rounds both send what this produces.
+func (r *queryState) encodeDest(kind recKind, dest int) int {
 	if kind == requestKind {
-		recSize = requestRecordSize
+		recs := takeStaged(r.reqOut, dest, &r.reqRecs)
+		r.out[dest] = encodeRequestBatch(r.out[dest][:0], recs)
+		return len(recs)
 	}
-	for dest := 0; dest < r.size; dest++ {
-		segs := r.outSegs[dest][:0]
-		total := 0
-		for tid := range r.tbufs {
-			if b := r.tbufs[tid][dest]; len(b) > 0 {
-				segs = append(segs, b)
-				total += len(b)
-			}
-		}
-		r.outSegs[dest] = segs
-		if dest != r.rank {
-			r.t.Stats.RecordsSent += int64(total / recSize)
-		}
-	}
-	return r.outSegs
+	recs := takeStaged(r.relaxOut, dest, &r.relaxRecs)
+	sortRelaxBatch(&r.sorter, recs)
+	r.out[dest] = encodeRelaxBatch(r.out[dest][:0], recs)
+	return len(recs)
 }
 
-// encodeOut re-encodes the staged records into r.out with the v2 codec
-// and counts the records sent to other ranks. Relax batches are stably
-// sorted by destination vertex for the delta encoding; request batches
-// keep emission order (see encodeRequestBatch).
-func (r *queryState) encodeOut(kind recKind) {
-	for dest := 0; dest < r.size; dest++ {
-		buf := r.out[dest][:0]
-		var sent int64
-		if kind == relaxKind {
-			recs := r.relaxRecs[:0]
-			for tid := range r.tbufs {
-				src := r.tbufs[tid][dest]
-				n := numRelaxRecords(src)
-				for i := 0; i < n; i++ {
-					v, par, d := decodeRelax(src, i)
-					recs = append(recs, relaxRec{v, par, d})
-				}
-			}
-			r.relaxRecs = recs
-			sortRelaxBatch(&r.sorter, recs)
-			buf = encodeRelaxBatch(buf, recs)
-			sent = int64(len(recs))
-		} else {
-			// Requests: count first (the batch header), then encode the
-			// staged buffers in thread-major order, unsorted.
-			total := 0
-			for tid := range r.tbufs {
-				total += numRequestRecords(r.tbufs[tid][dest])
-			}
-			buf = binary.AppendUvarint(buf, uint64(total))
-			for tid := range r.tbufs {
-				src := r.tbufs[tid][dest]
-				n := numRequestRecords(src)
-				for i := 0; i < n; i++ {
-					u, v, w := decodeRequest(src, i)
-					buf = binary.AppendUvarint(buf, uint64(u))
-					buf = binary.AppendUvarint(buf, uint64(v))
-					buf = binary.AppendUvarint(buf, uint64(w))
-				}
-			}
-			sent = int64(total)
-		}
-		r.out[dest] = buf
-		if dest != r.rank {
-			r.t.Stats.RecordsSent += sent
-		}
+// takeStaged returns every thread's staged records for dest in
+// thread-major order and empties that staging. With one thread it hands
+// back the staging slice itself (valid until the next record is staged);
+// otherwise it concatenates into *scratch.
+func takeStaged[T any](staged [][][]T, dest int, scratch *[]T) []T {
+	if len(staged) == 1 {
+		recs := staged[0][dest]
+		staged[0][dest] = recs[:0]
+		return recs
 	}
+	recs := (*scratch)[:0]
+	for tid := range staged {
+		recs = append(recs, staged[tid][dest]...)
+		staged[tid][dest] = staged[tid][dest][:0]
+	}
+	*scratch = recs
+	return recs
+}
+
+// stageRelax stages, in thread tid's buffer for v's owner, the offer of
+// distance d to v from parent over an edge of weight w.
+func (r *queryState) stageRelax(tid int, v, parent graph.Vertex, w graph.Weight, d graph.Dist) {
+	dst := r.pd.Owner(v)
+	r.relaxOut[tid][dst] = append(r.relaxOut[tid][dst], relaxRec{v, tagParent(parent, w), d})
+}
+
+// stageRequest stages, in thread tid's buffer for u's owner, v's request
+// for an offer over edge u-v of weight w.
+func (r *queryState) stageRequest(tid int, u, v graph.Vertex, w graph.Weight) {
+	dst := r.pd.Owner(u)
+	r.reqOut[tid][dst] = append(r.reqOut[tid][dst], requestRec{u, v, w})
 }
 
 func (r *queryState) charge(start time.Time, bucketOverhead bool) {
@@ -332,7 +298,8 @@ func (r *queryState) buildItems(verts []uint32) []workItem {
 }
 
 // runWorkers executes fn over items with the rank's thread pool. fn must
-// only touch thread-local buffers (tbufs[tid], tcnt[tid]).
+// only touch thread-local state (its own staging through stageRelax /
+// stageRequest, tcnt[tid]).
 //
 // Batches are assigned statically and cyclically: batch b belongs to
 // thread b mod T. The item→thread mapping is therefore a pure function
@@ -346,11 +313,6 @@ func (r *queryState) runWorkers(items []workItem, fn func(tid int, it workItem))
 	start := now()
 	defer r.charge(start, false)
 	T := r.opts.threads()
-	for tid := 0; tid < T; tid++ {
-		for dest := range r.tbufs[tid] {
-			r.tbufs[tid][dest] = r.tbufs[tid][dest][:0]
-		}
-	}
 	if T == 1 || len(items) == 0 {
 		for _, it := range items {
 			fn(0, it)
@@ -448,7 +410,7 @@ func (r *queryState) relaxTotals() RelaxCounts {
 // positive weight, so it points strictly downhill in distance, and a
 // cycle would need every hop distance-flat — all zero-weight strict
 // assignments, whose settle-time ordering already forbids a cycle. See
-// DESIGN.md "Wire format v2" and "Dynamic updates & plane versioning".
+// DESIGN.md "Wire format" and "Dynamic updates & plane versioning".
 //
 // With ParallelApply enabled (and no census, which needs exact serial
 // counting), application runs on the rank's thread pool using the
@@ -467,14 +429,13 @@ func (r *queryState) applyRelaxIn(in [][]byte, activate bool, census *BucketStat
 	start := now()
 	defer r.charge(start, false)
 	r.stamp++
-	wf := r.opts.WireFormat
 	if T := r.opts.threads(); r.opts.ParallelApply && census == nil && T > 1 &&
-		totalWireRecords(in, relaxKind, wf) >= parallelApplyThreshold {
+		totalWireRecords(in) >= parallelApplyThreshold {
 		return r.applyRelaxParallel(in, activate, T)
 	}
 	k := r.curK
 	for src, buf := range in {
-		rd := newRelaxReader(buf, wf)
+		rd := newRelaxReader(buf)
 		for {
 			v, tpar, nd, ok := rd.next()
 			if !ok {
@@ -748,8 +709,7 @@ func (r *queryState) shortPhase(k int64) error {
 					continue
 				}
 				cnt.ShortPush++
-				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				r.stageRelax(tid, nbr[i], v, ws[i], nd)
 			}
 		}
 	}

@@ -143,8 +143,7 @@ func (r *queryState) rhoRelaxFn() func(tid int, it workItem) {
 			for i := it.lo; i < it.hi; i++ {
 				cnt.RhoPush++
 				nd := du + graph.Dist(ws[i])
-				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				r.stageRelax(tid, nbr[i], v, ws[i], nd)
 			}
 		}
 	}

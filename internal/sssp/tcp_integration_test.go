@@ -216,28 +216,25 @@ func TestRepairOverTCPMatchesRecompute(t *testing.T) {
 // TestEngineTCPMatchesMemtransport checks that the transport is
 // invisible to the algorithm: the same query produces byte-identical
 // trees and identical record-level statistics over TCP sockets and over
-// the in-process transport, under both wire formats.
+// the in-process transport.
 func TestEngineTCPMatchesMemtransport(t *testing.T) {
 	g := rmatTestGraph
 	src := testRoot(g)
-	for _, wf := range []WireFormat{WireV1, WireV2} {
-		opts := OptOptions(25)
-		opts.Threads = 2
-		opts.WireFormat = wf
-		tcpRes := runOverTCP(t, g, 3, src, opts)
-		memRes := mustRun(t, g, 3, src, opts)
-		if !reflect.DeepEqual(tcpRes.Dist, memRes.Dist) {
-			t.Errorf("%v: distances differ between TCP and memtransport", wf)
-		}
-		if !reflect.DeepEqual(tcpRes.Parent, memRes.Parent) {
-			t.Errorf("%v: parents differ between TCP and memtransport", wf)
-		}
-		k1, k2 := runKey(tcpRes), runKey(memRes)
-		if !reflect.DeepEqual(k1, k2) {
-			t.Errorf("%v: record-level stats differ:\ntcp: %+v\nmem: %+v", wf, k1, k2)
-		}
-		if b1, b2 := tcpRes.Stats.Traffic.BytesSent, memRes.Stats.Traffic.BytesSent; b1 != b2 {
-			t.Errorf("%v: BytesSent differ between transports: tcp %d, mem %d", wf, b1, b2)
-		}
+	opts := OptOptions(25)
+	opts.Threads = 2
+	tcpRes := runOverTCP(t, g, 3, src, opts)
+	memRes := mustRun(t, g, 3, src, opts)
+	if !reflect.DeepEqual(tcpRes.Dist, memRes.Dist) {
+		t.Error("distances differ between TCP and memtransport")
+	}
+	if !reflect.DeepEqual(tcpRes.Parent, memRes.Parent) {
+		t.Error("parents differ between TCP and memtransport")
+	}
+	k1, k2 := runKey(tcpRes), runKey(memRes)
+	if !reflect.DeepEqual(k1, k2) {
+		t.Errorf("record-level stats differ:\ntcp: %+v\nmem: %+v", k1, k2)
+	}
+	if b1, b2 := tcpRes.Stats.Traffic.BytesSent, memRes.Stats.Traffic.BytesSent; b1 != b2 {
+		t.Errorf("BytesSent differ between transports: tcp %d, mem %d", b1, b2)
 	}
 }

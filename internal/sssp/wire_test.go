@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -31,12 +32,24 @@ func randomRelaxBatch(rng *rand.Rand, n int) []relaxRec {
 	return recs
 }
 
+// relaxExtremes are records at the edges of each field's range: the
+// largest vertex id, the unreached parent sentinel and distance, zero.
+var relaxExtremes = []relaxRec{
+	{v: 42, parent: 7, dist: 1234567890123},
+	{v: 0, parent: 0, dist: 0},
+	{v: ^graph.Vertex(0), parent: NoParent, dist: graph.Inf},
+}
+
 func TestRelaxBatchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var sorter relaxSorter
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(300)
 		recs := randomRelaxBatch(rng, n)
+		if trial%2 == 0 {
+			recs = append(recs, relaxExtremes...)
+			n = len(recs)
+		}
 		sortRelaxBatch(&sorter, recs)
 		for i := 1; i < n; i++ {
 			if recs[i-1].v > recs[i].v {
@@ -44,107 +57,188 @@ func TestRelaxBatchRoundTrip(t *testing.T) {
 			}
 		}
 		buf := encodeRelaxBatch(nil, recs)
-		if got := wireRecordCount(buf, relaxKind, WireV2); got != n {
+		if got := wireRecordCount(buf); got != n {
 			t.Fatalf("trial %d: wireRecordCount = %d, want %d", trial, got, n)
 		}
-		rd := newRelaxReader(buf, WireV2)
-		for i := 0; i < n; i++ {
-			v, par, d, ok := rd.next()
-			if !ok {
-				t.Fatalf("trial %d: reader exhausted at record %d of %d", trial, i, n)
-			}
-			if v != recs[i].v || par != recs[i].parent || d != recs[i].dist {
-				t.Fatalf("trial %d: record %d = (%d,%d,%d), want (%d,%d,%d)",
-					trial, i, v, par, d, recs[i].v, recs[i].parent, recs[i].dist)
-			}
+		got, rd := drainRelax(buf)
+		if err := rd.err(); err != nil {
+			t.Fatalf("trial %d: clean batch flagged: %v", trial, err)
 		}
-		if _, _, _, ok := rd.next(); ok {
-			t.Fatalf("trial %d: reader returned more than %d records", trial, n)
+		if !reflect.DeepEqual(got, recs) && n > 0 {
+			t.Fatalf("trial %d: decoded %v, want %v", trial, got, recs)
 		}
 	}
 }
 
 func TestRequestBatchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	type req struct {
-		u, v graph.Vertex
-		w    graph.Weight
-	}
 	for trial := 0; trial < 100; trial++ {
 		n := rng.Intn(200)
-		reqs := make([]req, n)
-		var v1buf []byte
+		reqs := make([]requestRec, n)
 		for i := range reqs {
-			reqs[i] = req{graph.Vertex(rng.Uint32()), graph.Vertex(rng.Uint32()), graph.Weight(rng.Uint32())}
-			v1buf = appendRequest(v1buf, reqs[i].u, reqs[i].v, reqs[i].w)
+			reqs[i] = requestRec{graph.Vertex(rng.Uint32()), graph.Vertex(rng.Uint32()), graph.Weight(rng.Uint32())}
 		}
-		v2buf := encodeRequestBatch(nil, v1buf)
-		// Both formats must yield the same records in the same (emission)
-		// order: the responder's output order depends on it.
-		for _, tc := range []struct {
-			wf  WireFormat
-			buf []byte
-		}{{WireV1, v1buf}, {WireV2, v2buf}} {
-			if got := wireRecordCount(tc.buf, requestKind, tc.wf); got != n {
-				t.Fatalf("trial %d %v: wireRecordCount = %d, want %d", trial, tc.wf, got, n)
-			}
-			rd := newRequestReader(tc.buf, tc.wf)
-			for i := 0; i < n; i++ {
-				u, v, w, ok := rd.next()
-				if !ok {
-					t.Fatalf("trial %d %v: exhausted at %d of %d", trial, tc.wf, i, n)
-				}
-				if u != reqs[i].u || v != reqs[i].v || w != reqs[i].w {
-					t.Fatalf("trial %d %v: record %d mismatch", trial, tc.wf, i)
-				}
-			}
-			if _, _, _, ok := rd.next(); ok {
-				t.Fatalf("trial %d %v: extra records", trial, tc.wf)
-			}
+		buf := encodeRequestBatch(nil, reqs)
+		if got := wireRecordCount(buf); got != n {
+			t.Fatalf("trial %d: wireRecordCount = %d, want %d", trial, got, n)
+		}
+		// Records must come back in emission order: the responder's
+		// output order depends on it.
+		got, rd := drainRequests(buf)
+		if err := rd.err(); err != nil {
+			t.Fatalf("trial %d: clean batch flagged: %v", trial, err)
+		}
+		if !reflect.DeepEqual(got, reqs) && n > 0 {
+			t.Fatalf("trial %d: decoded %v, want %v", trial, got, reqs)
 		}
 	}
 }
 
-// TestWireReadersTolerateCorruption fuzzes the decode path: random bytes
-// and truncated valid batches must terminate without panicking, never
-// yielding more records than claimed. This is the property the engine
-// relies on when it trusts wireRecordCount for sizing decisions.
-func TestWireReadersTolerateCorruption(t *testing.T) {
+// drainRelax reads every record a relaxReader yields from buf and
+// returns them with the exhausted reader.
+func drainRelax(buf []byte) ([]relaxRec, relaxReader) {
+	var got []relaxRec
+	rd := newRelaxReader(buf)
+	for {
+		v, par, d, ok := rd.next()
+		if !ok {
+			return got, rd
+		}
+		got = append(got, relaxRec{v, par, d})
+	}
+}
+
+// drainRequests is drainRelax for requestReader.
+func drainRequests(buf []byte) ([]requestRec, requestReader) {
+	var got []requestRec
+	rd := newRequestReader(buf)
+	for {
+		u, v, w, ok := rd.next()
+		if !ok {
+			return got, rd
+		}
+		got = append(got, requestRec{u, v, w})
+	}
+}
+
+// checkDrained asserts what a reader must guarantee on any input,
+// however damaged: it never yields more records than the header
+// declares, and its error is set whenever it stopped short of the
+// declared count or left bytes unread.
+func checkDrained(t *testing.T, data []byte, got, off int, err error) {
+	t.Helper()
+	declared := wireRecordCount(data)
+	if got > declared {
+		t.Fatalf("reader yielded %d records, header declares %d", got, declared)
+	}
+	if err == nil && (got != declared || off != len(data)) {
+		t.Fatalf("clean read of %d/%d records ending at byte %d of %d",
+			got, declared, off, len(data))
+	}
+}
+
+// truncationSweep returns every prefix of a valid relax batch and of a
+// valid request batch, the damage a cut-short frame does.
+func truncationSweep() [][]byte {
 	rng := rand.New(rand.NewSource(3))
-	drain := func(buf []byte, wf WireFormat) {
-		rd := newRelaxReader(buf, wf)
-		for {
-			if _, _, _, ok := rd.next(); !ok {
-				break
-			}
-		}
-		qd := newRequestReader(buf, wf)
-		for {
-			if _, _, _, ok := qd.next(); !ok {
-				break
-			}
-		}
-		_ = wireRecordCount(buf, relaxKind, wf)
-		_ = wireRecordCount(buf, requestKind, wf)
-	}
-	for trial := 0; trial < 500; trial++ {
-		buf := make([]byte, rng.Intn(64))
-		rng.Read(buf)
-		drain(buf, WireV1)
-		drain(buf, WireV2)
-	}
-	// Every truncation of a valid v2 batch must also decode cleanly.
 	var sorter relaxSorter
 	recs := randomRelaxBatch(rng, 50)
 	sortRelaxBatch(&sorter, recs)
-	valid := encodeRelaxBatch(nil, recs)
-	for k := 0; k <= len(valid); k++ {
-		drain(valid[:k], WireV2)
+	reqs := make([]requestRec, 30)
+	for i := range reqs {
+		reqs[i] = requestRec{graph.Vertex(rng.Uint32()), graph.Vertex(rng.Intn(1 << 16)), graph.Weight(rng.Intn(256))}
+	}
+	var out [][]byte
+	for _, valid := range [][]byte{encodeRelaxBatch(nil, recs), encodeRequestBatch(nil, reqs)} {
+		for k := 0; k <= len(valid); k++ {
+			out = append(out, valid[:k])
+		}
+	}
+	return out
+}
+
+// TestWireReadersTolerateCorruption feeds the decode path random bytes
+// and every truncation of valid batches: the readers must terminate
+// without panicking and keep checkDrained's guarantees. This is the
+// property the engine relies on when it trusts wireRecordCount for
+// sizing decisions.
+func TestWireReadersTolerateCorruption(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	inputs := truncationSweep()
+	for trial := 0; trial < 500; trial++ {
+		buf := make([]byte, rng.Intn(64))
+		rng.Read(buf)
+		inputs = append(inputs, buf)
+	}
+	for _, buf := range inputs {
+		recs, rd := drainRelax(buf)
+		checkDrained(t, buf, len(recs), rd.off, rd.err())
+		reqs, qd := drainRequests(buf)
+		checkDrained(t, buf, len(reqs), qd.off, qd.err())
 	}
 }
 
-// wireRunKey extracts the fields of a run that must be independent of
-// the wire format (and of anything else nondeterministic like timings).
+// FuzzRelaxReader checks the relax reader against arbitrary frames: no
+// panic, checkDrained's guarantees, and — reading the input as raw
+// records instead — that whatever the encoder writes decodes back to
+// the same records.
+func FuzzRelaxReader(f *testing.F) {
+	for _, seed := range truncationSweep() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, rd := drainRelax(data)
+		checkDrained(t, data, len(got), rd.off, rd.err())
+
+		recs := make([]relaxRec, 0, len(data)/16)
+		for ; len(data) >= 16; data = data[16:] {
+			recs = append(recs, relaxRec{
+				v:      binary.LittleEndian.Uint32(data),
+				parent: binary.LittleEndian.Uint32(data[4:]),
+				dist:   graph.Dist(binary.LittleEndian.Uint64(data[8:])),
+			})
+		}
+		var sorter relaxSorter
+		sortRelaxBatch(&sorter, recs)
+		back, rd := drainRelax(encodeRelaxBatch(nil, recs))
+		if err := rd.err(); err != nil {
+			t.Fatalf("encoder output flagged: %v", err)
+		}
+		if len(recs) > 0 && !reflect.DeepEqual(back, recs) {
+			t.Fatalf("round trip: decoded %v, want %v", back, recs)
+		}
+	})
+}
+
+// FuzzRequestReader is FuzzRelaxReader for request batches.
+func FuzzRequestReader(f *testing.F) {
+	for _, seed := range truncationSweep() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, rd := drainRequests(data)
+		checkDrained(t, data, len(got), rd.off, rd.err())
+
+		reqs := make([]requestRec, 0, len(data)/12)
+		for ; len(data) >= 12; data = data[12:] {
+			reqs = append(reqs, requestRec{
+				u: binary.LittleEndian.Uint32(data),
+				v: binary.LittleEndian.Uint32(data[4:]),
+				w: binary.LittleEndian.Uint32(data[8:]),
+			})
+		}
+		back, rd := drainRequests(encodeRequestBatch(nil, reqs))
+		if err := rd.err(); err != nil {
+			t.Fatalf("encoder output flagged: %v", err)
+		}
+		if len(reqs) > 0 && !reflect.DeepEqual(back, reqs) {
+			t.Fatalf("round trip: decoded %v, want %v", back, reqs)
+		}
+	})
+}
+
+// wireRunKey extracts the record-level fields of a run: everything but
+// byte counts and timings.
 type wireRunKey struct {
 	Relax           RelaxCounts
 	Phases, Epochs  int64
@@ -174,63 +268,11 @@ func runKey(r *Result) wireRunKey {
 	}
 }
 
-// TestWireFormatsEquivalent runs the same queries under v1 and v2 and
-// demands identical results and identical record-level statistics: the
-// codec may only change how records are spelled on the wire, never which
-// records exist or what they do.
-func TestWireFormatsEquivalent(t *testing.T) {
-	g, err := rmat.Generate(rmat.Family1(10, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := testRoot(g)
-	cases := []struct {
-		name string
-		opts Options
-	}{
-		{"del", DelOptions(20)},
-		{"opt", func() Options {
-			o := OptOptions(25)
-			o.Threads = 2
-			return o
-		}()},
-		{"lbopt-parallel", func() Options {
-			o := LBOptOptions(25)
-			o.Threads = 3
-			o.ParallelApply = true
-			return o
-		}()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			o1, o2 := tc.opts, tc.opts
-			o1.WireFormat = WireV1
-			o2.WireFormat = WireV2
-			r1 := mustRun(t, g, 4, src, o1)
-			r2 := mustRun(t, g, 4, src, o2)
-			if !reflect.DeepEqual(r1.Dist, r2.Dist) {
-				t.Error("distances differ between wire formats")
-			}
-			if !reflect.DeepEqual(r1.Parent, r2.Parent) {
-				t.Error("parents differ between wire formats")
-			}
-			k1, k2 := runKey(r1), runKey(r2)
-			if !reflect.DeepEqual(k1, k2) {
-				t.Errorf("record-level stats differ:\nv1: %+v\nv2: %+v", k1, k2)
-			}
-			if k1.RecordsSent == 0 {
-				t.Error("no records sent; equivalence test is vacuous")
-			}
-			if v1, v2 := r1.Stats.Traffic.BytesSent, r2.Stats.Traffic.BytesSent; v2 >= v1 {
-				t.Errorf("v2 BytesSent %d not below v1 %d", v2, v1)
-			}
-		})
-	}
-}
-
-// TestWireV2CutsBytesScale13 is the acceptance measurement from the
-// issue: on a scale-13 RMAT-1 graph over 4 ranks, v2 must cut BytesSent
-// by at least 40%% at identical RecordsSent.
+// TestWireV2CutsBytesScale13 pins the codec's compression on a scale-13
+// RMAT-1 graph over 4 ranks: the record count is exact, and BytesSent
+// may not exceed 0.6× the 1,014,172 bytes the same run sent as
+// fixed-width 16- and 12-byte records (the removed wire format v1; the
+// batch codec sent 290,905).
 func TestWireV2CutsBytesScale13(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale-13 acceptance run skipped in -short mode")
@@ -239,35 +281,26 @@ func TestWireV2CutsBytesScale13(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := testRoot(g)
-	o1 := OptOptions(25)
-	o1.Threads = 2
-	o2 := o1
-	o1.WireFormat = WireV1
-	o2.WireFormat = WireV2
-	r1 := mustRun(t, g, 4, src, o1)
-	r2 := mustRun(t, g, 4, src, o2)
-	if r1.Stats.Traffic.RecordsSent != r2.Stats.Traffic.RecordsSent {
-		t.Fatalf("RecordsSent differ: v1 %d, v2 %d",
-			r1.Stats.Traffic.RecordsSent, r2.Stats.Traffic.RecordsSent)
+	o := OptOptions(25)
+	o.Threads = 2
+	r := mustRun(t, g, 4, testRoot(g), o)
+	const wantRecords, maxBytes = 65846, 608503
+	tr := r.Stats.Traffic
+	t.Logf("scale-13: %d bytes for %d records", tr.BytesSent, tr.RecordsSent)
+	if tr.RecordsSent != wantRecords {
+		t.Errorf("RecordsSent = %d, want %d", tr.RecordsSent, wantRecords)
 	}
-	b1, b2 := r1.Stats.Traffic.BytesSent, r2.Stats.Traffic.BytesSent
-	if b1 == 0 {
-		t.Fatal("v1 sent no bytes; acceptance test is vacuous")
-	}
-	cut := 1 - float64(b2)/float64(b1)
-	t.Logf("scale-13: v1 %d bytes, v2 %d bytes, cut %.1f%% (%d records)",
-		b1, b2, 100*cut, r1.Stats.Traffic.RecordsSent)
-	if cut < 0.40 {
-		t.Errorf("v2 cuts BytesSent by %.1f%%, want >= 40%%", 100*cut)
+	if tr.BytesSent > maxBytes {
+		t.Errorf("BytesSent = %d, want <= %d", tr.BytesSent, maxBytes)
 	}
 }
 
 // TestSameSeedRunsIdentical checks reproducibility: two runs of the same
 // query with the same options produce byte-identical trees and identical
 // counters, even with multiple threads and the parallel apply path. This
-// pins the static emission schedule in runWorkers — dynamic scheduling
-// would make the first-wins parent choice race-dependent.
+// pins the static emission schedule in runWorkers and the stable relax
+// sort — dynamic scheduling or an unstable sort would make the
+// first-wins parent choice run-dependent.
 func TestSameSeedRunsIdentical(t *testing.T) {
 	g, err := rmat.Generate(rmat.Family1(10, 7))
 	if err != nil {
@@ -277,24 +310,21 @@ func TestSameSeedRunsIdentical(t *testing.T) {
 	old := parallelApplyThreshold
 	parallelApplyThreshold = 1
 	defer func() { parallelApplyThreshold = old }()
-	for _, wf := range []WireFormat{WireV1, WireV2} {
-		o := LBOptOptions(25)
-		o.Threads = 3
-		o.ParallelApply = true
-		o.WireFormat = wf
-		r1 := mustRun(t, g, 4, src, o)
-		r2 := mustRun(t, g, 4, src, o)
-		if !reflect.DeepEqual(r1.Dist, r2.Dist) {
-			t.Errorf("%v: distances differ between identical runs", wf)
-		}
-		if !reflect.DeepEqual(r1.Parent, r2.Parent) {
-			t.Errorf("%v: parents differ between identical runs", wf)
-		}
-		if k1, k2 := runKey(r1), runKey(r2); !reflect.DeepEqual(k1, k2) {
-			t.Errorf("%v: counters differ between identical runs:\n%+v\n%+v", wf, k1, k2)
-		}
-		if b1, b2 := r1.Stats.Traffic.BytesSent, r2.Stats.Traffic.BytesSent; b1 != b2 {
-			t.Errorf("%v: BytesSent differ between identical runs: %d vs %d", wf, b1, b2)
-		}
+	o := LBOptOptions(25)
+	o.Threads = 3
+	o.ParallelApply = true
+	r1 := mustRun(t, g, 4, src, o)
+	r2 := mustRun(t, g, 4, src, o)
+	if !reflect.DeepEqual(r1.Dist, r2.Dist) {
+		t.Error("distances differ between identical runs")
+	}
+	if !reflect.DeepEqual(r1.Parent, r2.Parent) {
+		t.Error("parents differ between identical runs")
+	}
+	if k1, k2 := runKey(r1), runKey(r2); !reflect.DeepEqual(k1, k2) {
+		t.Errorf("counters differ between identical runs:\n%+v\n%+v", k1, k2)
+	}
+	if b1, b2 := r1.Stats.Traffic.BytesSent, r2.Stats.Traffic.BytesSent; b1 != b2 {
+		t.Errorf("BytesSent differ between identical runs: %d vs %d", b1, b2)
 	}
 }
