@@ -82,8 +82,8 @@ experiments:
 	go run ./cmd/bench -experiment all -scale 13 -ranks 1,2,4,8 -threads 2 -roots 3
 
 # Every native fuzz target, 30s each: the edge-list reader, CSR
-# construction, incremental patching, and the untrusted wire inputs (update
-# batches, relax and request batches).
+# construction, incremental patching, the untrusted wire inputs (update
+# batches, relax and request batches), and sender-side relax combining.
 fuzz:
 	go test -fuzz FuzzReadEdgeList -fuzztime 30s ./internal/graph/
 	go test -fuzz FuzzBuilderInvariants -fuzztime 30s ./internal/graph/
@@ -91,6 +91,7 @@ fuzz:
 	go test -fuzz FuzzDecodeUpdateBatch -fuzztime 30s ./internal/sssp/
 	go test -fuzz FuzzRelaxReader -fuzztime 30s ./internal/sssp/
 	go test -fuzz FuzzRequestReader -fuzztime 30s ./internal/sssp/
+	go test -fuzz FuzzCombineRelax -fuzztime 30s ./internal/sssp/
 
 clean:
 	go clean ./...

@@ -215,10 +215,14 @@ type TrafficStats struct {
 	// do not, so the paper's communication-volume metric stays defined in
 	// records whatever codec is on the wire. They are maintained by the
 	// record layer (the engine), not by the transport wrapper, which
-	// cannot see record boundaries.
+	// cannot see record boundaries. The engine counts relax records after
+	// it has combined a batch's duplicates, so a relaxation the sender
+	// merged into another is not counted.
 	RecordsSent int64
 	// RecordsReceived counts application-level records received from
-	// other ranks.
+	// other ranks, as the sender counted them (after combining). Sender
+	// and receiver count the same batch, so the async termination
+	// probe's sums of the two still balance.
 	RecordsReceived int64
 	// AllreduceCalls counts AllreduceInt64 collectives.
 	AllreduceCalls int64

@@ -163,6 +163,47 @@ func sortRelaxBatch(s *relaxSorter, recs []relaxRec) {
 	}
 }
 
+// combineRelax min-combines, in place, each run of same-vertex records
+// in a batch sorted by vertex and returns the shortened batch. Let d* be
+// a run's smallest distance and f its first record at d*. A
+// positive-weight f becomes the run's only record, carrying the smallest
+// positive-weight parent at d*. A zero-weight f is kept as it is,
+// followed by one record carrying the smallest positive-weight parent at
+// d* after it, if there is one. Applied in order, the combined run
+// leaves any receiver in the (dist, parent) state the full run would:
+// records above d* either lose to f or are overwritten by it, and of
+// the records at d* only f's first-come strict win and the min-id
+// election among positive-weight offers can matter (see applyRelaxIn and
+// DESIGN.md "Sender-side combining").
+func combineRelax(recs []relaxRec) []relaxRec {
+	w := 0 // write index; never passes the run being read
+	for i := 0; i < len(recs); {
+		f := recs[i]
+		minPos, found := f.parent, f.parent&1 == 0 // smallest positive-weight parent at f.dist
+		j := i + 1
+		for ; j < len(recs) && recs[j].v == f.v; j++ {
+			switch rec := &recs[j]; {
+			case rec.dist < f.dist:
+				f = *rec
+				minPos, found = rec.parent, rec.parent&1 == 0
+			case rec.dist == f.dist && rec.parent&1 == 0 && (!found || rec.parent < minPos):
+				minPos, found = rec.parent, true
+			}
+		}
+		if f.parent&1 == 0 {
+			f.parent = minPos
+		}
+		recs[w] = f
+		w++
+		if f.parent&1 == 1 && found {
+			recs[w] = relaxRec{f.v, minPos, f.dist}
+			w++
+		}
+		i = j
+	}
+	return recs[:w]
+}
+
 // encodeRequestBatch appends the batch encoding of recs to buf. Requests
 // are NOT sorted: the responder walks them in order, and permuting
 // requests would permute the emitted responses.

@@ -18,7 +18,7 @@ import (
 //     lazy-deletion bucketStore; Radius Stepping scans against a distance
 //     threshold instead.
 //   - Bucket assignment: the key a relaxed vertex re-files under
-//     (applyRelaxIn / applyRelaxParallel / applyAsyncRelax).
+//     (applyRec / applyAsyncRec).
 //   - Short/long edge split: where a vertex's weight-sorted adjacency
 //     splits into eagerly- and lazily-relaxed halves (shortEdgeEnd feeds
 //     the plane's shortEnd table; deferWeight feeds the async mode's
@@ -125,12 +125,12 @@ type deltaStepper struct {
 	dd    graph.Dist
 }
 
-func (s *deltaStepper) policy() SteppingPolicy        { return PolicyDelta }
-func (s *deltaStepper) unbounded() bool               { return s.delta == BellmanFordDelta }
-func (s *deltaStepper) key(d graph.Dist) int64        { return int64(d / s.dd) }
+func (s *deltaStepper) policy() SteppingPolicy         { return PolicyDelta }
+func (s *deltaStepper) unbounded() bool                { return s.delta == BellmanFordDelta }
+func (s *deltaStepper) key(d graph.Dist) int64         { return int64(d / s.dd) }
 func (s *deltaStepper) settleBound(k int64) graph.Dist { return (k+1)*s.dd - 1 }
-func (s *deltaStepper) deferWeight() graph.Weight     { return s.delta }
-func (s *deltaStepper) batchCap() int                 { return 0 }
+func (s *deltaStepper) deferWeight() graph.Weight      { return s.delta }
+func (s *deltaStepper) batchCap() int                  { return 0 }
 
 func (s *deltaStepper) shortEdgeEnd(g *graph.Graph, v graph.Vertex) int {
 	return g.ShortEdgeEnd(v, s.delta)
@@ -147,11 +147,11 @@ type radiusStepper struct {
 	q graph.Dist // median radius; async bucket quantum and deferral unit
 }
 
-func (s *radiusStepper) policy() SteppingPolicy        { return PolicyRadius }
-func (s *radiusStepper) unbounded() bool               { return false }
-func (s *radiusStepper) key(d graph.Dist) int64        { return int64(d / s.q) }
+func (s *radiusStepper) policy() SteppingPolicy         { return PolicyRadius }
+func (s *radiusStepper) unbounded() bool                { return false }
+func (s *radiusStepper) key(d graph.Dist) int64         { return int64(d / s.q) }
 func (s *radiusStepper) settleBound(k int64) graph.Dist { return (k+1)*s.q - 1 }
-func (s *radiusStepper) batchCap() int                 { return 0 }
+func (s *radiusStepper) batchCap() int                  { return 0 }
 
 func (s *radiusStepper) deferWeight() graph.Weight {
 	if s.q > graph.Dist(BellmanFordDelta) {
@@ -177,11 +177,11 @@ type rhoStepper struct {
 	cap int
 }
 
-func (s *rhoStepper) policy() SteppingPolicy        { return PolicyRho }
-func (s *rhoStepper) unbounded() bool               { return false }
-func (s *rhoStepper) key(d graph.Dist) int64        { return int64(d / s.q) }
+func (s *rhoStepper) policy() SteppingPolicy         { return PolicyRho }
+func (s *rhoStepper) unbounded() bool                { return false }
+func (s *rhoStepper) key(d graph.Dist) int64         { return int64(d / s.q) }
 func (s *rhoStepper) settleBound(k int64) graph.Dist { return (k+1)*s.q - 1 }
-func (s *rhoStepper) batchCap() int                 { return s.cap }
+func (s *rhoStepper) batchCap() int                  { return s.cap }
 
 func (s *rhoStepper) deferWeight() graph.Weight {
 	if s.q > graph.Dist(BellmanFordDelta) {

@@ -44,12 +44,13 @@ type queryState struct {
 	tcnt       []RelaxCounts
 	out        [][]byte     // per-dest encoded batches
 	relaxRecs  []relaxRec   // multi-thread gather scratch of encodeDest
+	selfIn     []relaxRec   // this superstep's self-destined relax records; see exchangeRecords
 	reqRecs    []requestRec // likewise for requests
 	sorter     relaxSorter
 	members    []uint32 // bucket-member scratch of collectMembers
 	requesters []uint32 // requester scratch of the pull phase
 	items      []workItem
-	applyStage []applyStaging // per-thread staging for the parallel apply path
+	applyStage []applyStaging // per-thread staging of applyRelaxIn
 	reduceVal  [2]int64       // input scratch of small allreduces
 
 	// Persistent worker pool. Phase scans dispatch to these long-lived
@@ -180,15 +181,25 @@ func (r *queryState) allreduce(vals []int64, op comm.ReduceOp, bucketOverhead bo
 // exchangeRecords runs the superstep's all-to-all over the staged
 // records of the given kind and maintains the record-level traffic
 // counters (the transport wrapper cannot see record boundaries, so the
-// engine counts).
+// engine counts). Self-destined relax records skip the wire: they are
+// sorted and combined like a batch, left in r.selfIn, and applied by the
+// applyRelaxIn that follows at the position of this rank's buffer. They
+// are taken last because with several threads they live in the gather
+// scratch that every other destination's encode reuses.
 func (r *queryState) exchangeRecords(kind recKind) ([][]byte, error) {
 	start := now()
 	defer r.charge(start, false)
 	for dest := 0; dest < r.size; dest++ {
-		n := r.encodeDest(kind, dest)
-		if dest != r.rank {
-			r.t.Stats.RecordsSent += int64(n)
+		if dest == r.rank {
+			continue
 		}
+		r.t.Stats.RecordsSent += int64(r.encodeDest(kind, dest))
+	}
+	if kind == relaxKind {
+		r.selfIn = r.takeRelax(r.rank)
+		r.out[r.rank] = r.out[r.rank][:0]
+	} else {
+		r.encodeDest(kind, r.rank)
 	}
 	in, err := r.t.Exchange(r.out)
 	if err != nil {
@@ -206,19 +217,31 @@ func (r *queryState) exchangeRecords(kind recKind) ([][]byte, error) {
 // encodeDest encodes every thread's staged records of the given kind for
 // dest into r.out[dest] as one batch, thread-major, empties that staging
 // and returns the record count. Relax batches are stably sorted by
-// destination vertex for the delta encoding; request batches keep
-// emission order (see encodeRequestBatch). BSP exchanges and async
-// rounds both send what this produces.
+// destination vertex for the delta encoding and min-combined (see
+// takeRelax); request batches keep emission order (see
+// encodeRequestBatch). BSP exchanges and async rounds both send what
+// this produces.
 func (r *queryState) encodeDest(kind recKind, dest int) int {
 	if kind == requestKind {
 		recs := takeStaged(r.reqOut, dest, &r.reqRecs)
 		r.out[dest] = encodeRequestBatch(r.out[dest][:0], recs)
 		return len(recs)
 	}
-	recs := takeStaged(r.relaxOut, dest, &r.relaxRecs)
-	sortRelaxBatch(&r.sorter, recs)
+	recs := r.takeRelax(dest)
 	r.out[dest] = encodeRelaxBatch(r.out[dest][:0], recs)
 	return len(recs)
+}
+
+// takeRelax takes every thread's staged relax records for dest (see
+// takeStaged), stably sorted by vertex and min-combined. Census runs keep
+// every record: the census counts each long push where it lands.
+func (r *queryState) takeRelax(dest int) []relaxRec {
+	recs := takeStaged(r.relaxOut, dest, &r.relaxRecs)
+	sortRelaxBatch(&r.sorter, recs)
+	if r.opts.Census {
+		return recs
+	}
+	return combineRelax(recs)
 }
 
 // takeStaged returns every thread's staged records for dest in
@@ -382,7 +405,9 @@ func (r *queryState) relaxTotals() RelaxCounts {
 
 // ---- record application ----------------------------------------------------
 
-// applyRelaxIn applies every relax record in the received buffers.
+// applyRelaxIn applies every relax record in the received buffers, taking
+// this rank's own records from r.selfIn at the position of its buffer,
+// so the apply order is that of a full exchange.
 // activate controls whether improved vertices landing in the current
 // bucket join the next phase's active set (short phases) — long-phase
 // results can never land in the current bucket and pass false. census, if
@@ -412,12 +437,15 @@ func (r *queryState) relaxTotals() RelaxCounts {
 // assignments, whose settle-time ordering already forbids a cycle. See
 // DESIGN.md "Wire format" and "Dynamic updates & plane versioning".
 //
-// With ParallelApply enabled (and no census, which needs exact serial
-// counting), application runs on the rank's thread pool using the
-// paper's intra-node ownership model: local vertex li belongs to thread
-// li mod T, every thread scans all records but applies only its own
-// vertices, so per-vertex state is written without locks — the role the
-// L2 atomics played on Blue Gene/Q.
+// Application stages its bucket-store insertions and activations per
+// thread (applyStaging) and merges them in thread order at the end; with
+// one thread that is the order of a direct write. With ParallelApply
+// enabled (and no census, which needs exact serial counting),
+// application runs on the rank's thread pool using the paper's
+// intra-node ownership model: local vertex li belongs to thread li mod
+// T, every thread scans all records but applies only its own vertices,
+// so per-vertex state is written without locks — the role the L2
+// atomics played on Blue Gene/Q (see applyparallel.go).
 //
 // Damaged input is an error, not a panic and not data loss: a record
 // addressing a vertex this rank does not own, or a buffer the readers
@@ -429,86 +457,144 @@ func (r *queryState) applyRelaxIn(in [][]byte, activate bool, census *BucketStat
 	start := now()
 	defer r.charge(start, false)
 	r.stamp++
-	if T := r.opts.threads(); r.opts.ParallelApply && census == nil && T > 1 &&
-		totalWireRecords(in) >= parallelApplyThreshold {
-		return r.applyRelaxParallel(in, activate, T)
+	self := r.selfIn
+	r.selfIn = nil
+	T := 1
+	if t := r.opts.threads(); r.opts.ParallelApply && census == nil && t > 1 &&
+		totalWireRecords(in)+len(self) >= parallelApplyThreshold {
+		T = t
 	}
-	k := r.curK
+	if len(r.applyStage) < T {
+		r.applyStage = make([]applyStaging, T)
+	}
+	stage := r.applyStage[:T]
+	for t := range stage {
+		stage[t] = applyStaging{adds: stage[t].adds[:0], active: stage[t].active[:0]}
+	}
+	if T == 1 {
+		stage[0].err = r.applyScan(&stage[0], in, self, 0, 1, activate, census)
+	} else {
+		r.applyParallel(stage, in, self, activate)
+	}
+	for t := range stage {
+		if stage[t].err != nil {
+			// Every thread scans the same buffers, so each sees the same
+			// damage; the first thread's report suffices.
+			return stage[t].err
+		}
+	}
+	for t := range stage {
+		for _, a := range stage[t].adds {
+			r.store.add(a.bucket, a.li)
+		}
+		r.nextActive = append(r.nextActive, stage[t].active...)
+	}
+	return nil
+}
+
+// applyScan applies, as thread t of T, every record of the received
+// buffers and, at the position of this rank's buffer, of self.
+func (r *queryState) applyScan(st *applyStaging, in [][]byte, self []relaxRec, t, T int, activate bool, census *BucketStats) error {
 	for src, buf := range in {
+		if src == r.rank {
+			for _, rec := range self {
+				if err := r.applyRec(st, src, t, T, rec.v, rec.parent, rec.dist, activate, census); err != nil {
+					return err
+				}
+			}
+			continue
+		}
 		rd := newRelaxReader(buf)
 		for {
 			v, tpar, nd, ok := rd.next()
 			if !ok {
 				break
 			}
-			par, zw := untagParent(tpar)
-			li := r.local(v)
-			if uint(li) >= uint(r.nLocal) {
-				return r.corruptErr(src, "relax", fmt.Errorf("vertex %d is not owned by this rank", v))
-			}
-			if census != nil {
-				switch b := r.bucketOf[li]; {
-				case b == k:
-					census.SelfEdges++
-				case b < k:
-					census.BackwardEdges++
-				default:
-					census.ForwardEdges++
-				}
-			}
-			if nd >= r.dist[li] {
-				// Positive-weight equal-distance offers still compete for
-				// the parent slot (canonical min-id election); they never
-				// move the vertex.
-				if nd == r.dist[li] && nd < graph.Inf && !zw && par < r.parent[li] && v != r.src {
-					r.parent[li] = par
-				}
-				continue
-			}
-			r.dist[li] = nd
-			r.parent[li] = par
-			if r.hybridMode {
-				if r.mark[li] != r.stamp {
-					r.mark[li] = r.stamp
-					r.nextActive = append(r.nextActive, uint32(li))
-				}
-				continue
-			}
-			// Policy bookkeeping: how an improved vertex re-enters the
-			// frontier. Δ-stepping re-files by bucket and activates
-			// current-bucket landings; Radius activates anything under the
-			// epoch threshold (no store); ρ re-files by quantized key under
-			// the async mode's re-entrant pending discipline.
-			switch r.opts.Policy {
-			case PolicyRadius:
-				if activate && nd <= r.phBound && r.mark[li] != r.stamp {
-					r.mark[li] = r.stamp
-					r.nextActive = append(r.nextActive, uint32(li))
-				}
-			case PolicyRho:
-				nb := r.step.key(nd)
-				moved := nb != r.bucketOf[li]
-				r.bucketOf[li] = nb
-				if !r.pending[li] {
-					r.pending[li] = true
-					r.store.add(nb, uint32(li))
-				} else if moved {
-					r.store.add(nb, uint32(li))
-				}
-			default:
-				nb := nd / r.dd
-				if nb != r.bucketOf[li] {
-					r.bucketOf[li] = nb
-					r.store.add(nb, uint32(li))
-				}
-				if activate && nb == k && r.mark[li] != r.stamp {
-					r.mark[li] = r.stamp
-					r.nextActive = append(r.nextActive, uint32(li))
-				}
+			if err := r.applyRec(st, src, t, T, v, tpar, nd, activate, census); err != nil {
+				return err
 			}
 		}
 		if err := rd.err(); err != nil {
 			return r.corruptErr(src, "relax", err)
+		}
+	}
+	return nil
+}
+
+// applyRec applies one relax record from rank src (tpar is the tagged
+// parent field) by applyRelaxIn's rule, as thread t of T: a record for a
+// vertex another thread owns is skipped after the ownership check, which
+// doubles as the bounds check that keeps a corrupt vertex id from
+// panicking the scan.
+func (r *queryState) applyRec(st *applyStaging, src, t, T int, v, tpar graph.Vertex, nd graph.Dist, activate bool, census *BucketStats) error {
+	par, zw := untagParent(tpar)
+	li := r.local(v)
+	if uint(li) >= uint(r.nLocal) {
+		return r.corruptErr(src, "relax", fmt.Errorf("vertex %d is not owned by this rank", v))
+	}
+	if T > 1 && li%T != t {
+		return nil
+	}
+	k := r.curK
+	if census != nil {
+		switch b := r.bucketOf[li]; {
+		case b == k:
+			census.SelfEdges++
+		case b < k:
+			census.BackwardEdges++
+		default:
+			census.ForwardEdges++
+		}
+	}
+	if nd >= r.dist[li] {
+		// Positive-weight equal-distance offers still compete for the
+		// parent slot (canonical min-id election); they never move the
+		// vertex.
+		if nd == r.dist[li] && nd < graph.Inf && !zw && par < r.parent[li] && v != r.src {
+			r.parent[li] = par
+		}
+		return nil
+	}
+	r.dist[li] = nd
+	r.parent[li] = par
+	if r.hybridMode {
+		if r.mark[li] != r.stamp {
+			r.mark[li] = r.stamp
+			st.active = append(st.active, uint32(li))
+		}
+		return nil
+	}
+	// Policy bookkeeping: how an improved vertex re-enters the frontier.
+	// Δ-stepping re-files by bucket and activates current-bucket
+	// landings; Radius activates anything under the epoch threshold (no
+	// store); ρ re-files by quantized key under the async mode's
+	// re-entrant pending discipline. The pending flags are thread-owned
+	// like dist and bucketOf.
+	switch r.opts.Policy {
+	case PolicyRadius:
+		if activate && nd <= r.phBound && r.mark[li] != r.stamp {
+			r.mark[li] = r.stamp
+			st.active = append(st.active, uint32(li))
+		}
+	case PolicyRho:
+		nb := r.step.key(nd)
+		moved := nb != r.bucketOf[li]
+		r.bucketOf[li] = nb
+		if !r.pending[li] {
+			r.pending[li] = true
+			st.adds = append(st.adds, bucketAdd{nb, uint32(li)})
+		} else if moved {
+			st.adds = append(st.adds, bucketAdd{nb, uint32(li)})
+		}
+	default:
+		nb := nd / r.dd
+		if nb != r.bucketOf[li] {
+			r.bucketOf[li] = nb
+			st.adds = append(st.adds, bucketAdd{nb, uint32(li)})
+		}
+		if activate && nb == k && r.mark[li] != r.stamp {
+			r.mark[li] = r.stamp
+			st.active = append(st.active, uint32(li))
 		}
 	}
 	return nil
